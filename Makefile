@@ -35,6 +35,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzSolverArithmetic$$' -fuzztime=$(FUZZTIME) ./internal/historytree
 	$(GO) test -run='^$$' -fuzz='^FuzzBatchedRefine$$' -fuzztime=$(FUZZTIME) ./internal/historytree
 	$(GO) test -run='^$$' -fuzz='^FuzzProtocolEquivalence$$' -fuzztime=$(FUZZTIME) ./internal/linear
+	$(GO) test -run='^$$' -fuzz='^FuzzViewSizer$$' -fuzztime=$(FUZZTIME) ./internal/linear
 
 # Run the benchmark-regression suite and record BENCH_PR9.json (see
 # EXPERIMENTS.md, "Perf appendix").

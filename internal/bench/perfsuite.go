@@ -12,6 +12,7 @@ import (
 	"anondyn/internal/engine"
 	"anondyn/internal/faults"
 	"anondyn/internal/historytree"
+	"anondyn/internal/linear"
 )
 
 // NamedBench couples a benchmark-regression suite entry with its body.
@@ -36,7 +37,6 @@ func PerfSuite() []NamedBench {
 		// the big.Int path: 63.2 ms/op, 945k allocs/op).
 		{Name: "SolverFromScratch/n=16", Bench: solverBench(16, false, historytree.ArithModular)},
 		{Name: "SolverFromScratch/n=24", Bench: solverBench(24, false, historytree.ArithModular)},
-		{Name: "SolverModular/n=16", Bench: solverBench(16, false, historytree.ArithModular)},
 		{Name: "SolverModular/n=24", Bench: solverBench(24, false, historytree.ArithModular)},
 		{Name: "SolverBig/n=16", Bench: solverBench(16, false, historytree.ArithBig)},
 		{Name: "SolverIncremental/n=16", Bench: solverBench(16, true, historytree.ArithModular)},
@@ -60,10 +60,15 @@ func PerfSuite() []NamedBench {
 		{Name: "E2SolverReplayIncremental/n=12", Bench: e2SolverReplayBench(12, true)},
 		{Name: "E4RedEdges/n=10", Bench: e4Bench(10)},
 		{Name: "E6NonCongested/n=10", Bench: e6Bench(10)},
-		{Name: "EngineDeliverDense/n=32", Bench: engineBench(32, engine.SchedulerSequential)},
 		{Name: "EngineSchedulerSequential/n=32", Bench: engineBench(32, engine.SchedulerSequential)},
 		{Name: "EngineSchedulerConcurrent/n=32", Bench: engineBench(32, engine.SchedulerConcurrent)},
 		{Name: "EngineSchedulerParallel/n=32", Bench: engineBench(32, engine.SchedulerParallel)},
+		// The linear full-information protocol's cost curve: Θ(n) rounds
+		// of views that grow to Θ(n³ log n) bits, each message sized by
+		// the sender's incremental viewSizer.
+		{Name: "LinearCount/n=24", Bench: linearBench(24)},
+		{Name: "LinearCount/n=48", Bench: linearBench(48)},
+		{Name: "LinearCount/n=96", Bench: linearBench(96)},
 		// n=192 is the PR 9 target: batched refinement plus cross-process
 		// structural sharing make one full counting run at this size a
 		// routine suite entry. CompactVHT keeps its resident set bounded,
@@ -165,6 +170,24 @@ func e2CompactBench(n int) func(b *testing.B) {
 		cfg := core.Config{Mode: core.ModeLeader, MaxLevels: 3*n + 6, CompactVHT: true}
 		for i := 0; i < b.N; i++ {
 			res, err := core.Run(s, leaderIn(n), cfg, core.RunOptions{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if res.N != n {
+				b.Fatalf("counted %d, want %d", res.N, n)
+			}
+		}
+	}
+}
+
+// linearBench is one full linear-protocol counting run on the E2 graph
+// family.
+func linearBench(n int) func(b *testing.B) {
+	return func(b *testing.B) {
+		s := dynnet.NewRandomConnected(n, 0.3, 1)
+		cfg := linear.Config{Mode: core.ModeLeader, MaxLevels: 3*n + 8}
+		for i := 0; i < b.N; i++ {
+			res, err := linear.Run(s, leaderIn(n), cfg, core.RunOptions{})
 			if err != nil {
 				b.Fatal(err)
 			}

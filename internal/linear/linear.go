@@ -5,12 +5,15 @@
 // schedules and fault plans, but a protocol that broadcasts each
 // process's entire view every round instead of O(log n)-bit messages.
 // Views are hash-consed through a run-shared interner (structurally
-// identical classes get one dense ID), so a message is a set of class IDs
-// plus the sender's current class; its honest wire cost is still the
-// canonical serialization of the whole view (internal/wire.View), which
-// the engine accounts through wire.SizeOf. The result: Θ(T·n) rounds
-// against the congested protocol's O(T·n³ log n), paid for with messages
-// that grow to Θ(n³ log n) bits — the tradeoff experiment E17 measures.
+// identical classes get one dense ID), so a message is the sender's class
+// IDs, level by level, plus its current class. Its honest wire cost is
+// still the size of the canonical serialization of the whole view (the
+// internal/wire.View codec); each process keeps that size up to date
+// incrementally with a viewSizer, which re-sorts and recounts only the
+// levels at or above the lowest one that gained a class and never builds
+// the view. The result: Θ(T·n) rounds against the congested protocol's
+// O(T·n³ log n), paid for with messages that grow to Θ(n³ log n) bits —
+// the tradeoff experiment E17 measures.
 //
 // Both modes of the congested backend are supported, with decision rules
 // derived from the solver black box rather than the FOCS 2022 "cut"
@@ -127,6 +130,12 @@ func defaultMaxRounds(n int, cfg Config) int {
 // out-of-model schedules that break the diameter bound fail with a
 // structured error instead of a silent disagreement.
 func Run(s dynnet.Schedule, inputs []historytree.Input, cfg Config, opts core.RunOptions) (*core.RunResult, error) {
+	return run(newInterner(), s, inputs, cfg, opts)
+}
+
+// run is Run over a given interner, which in-package tests read to check
+// the messages the run sends.
+func run(itn *interner, s dynnet.Schedule, inputs []historytree.Input, cfg Config, opts core.RunOptions) (*core.RunResult, error) {
 	n := s.N()
 	if err := cfg.Validate(inputs); err != nil {
 		return nil, err
@@ -135,7 +144,6 @@ func Run(s dynnet.Schedule, inputs []historytree.Input, cfg Config, opts core.Ru
 		return nil, fmt.Errorf("linear: %d inputs for %d processes", len(inputs), n)
 	}
 
-	itn := newInterner()
 	procs := make([]engine.Coroutine, n)
 	leaderPID := -1
 	for i, in := range inputs {

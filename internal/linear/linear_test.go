@@ -115,35 +115,51 @@ func TestLinearBlockSimulation(t *testing.T) {
 // backend: answers, rounds, levels and — thanks to the canonical view
 // serialization — every bit-accounting stat must be identical under all
 // three engine schedulers, even though interner ID assignment order is
-// not.
+// not. n=24 grows views past 128 classes, so positions take 2-byte
+// varints, and the T=2 case adds mid-block rounds in which a process may
+// hear no new class and resend an unchanged view.
 func TestLinearSchedulerEquivalence(t *testing.T) {
-	n := 7
+	const n = 24
 	type key struct {
 		n, rounds, levels, maxBits int
 		totalMsgs, totalBits       int64
 	}
-	var want *key
-	for _, sched := range []engine.Scheduler{
-		engine.SchedulerSequential, engine.SchedulerParallel, engine.SchedulerConcurrent,
-	} {
-		cfg := linear.Config{Mode: core.ModeLeader, MaxLevels: 3*n + 8}
-		res, err := linear.Run(dynnet.NewRandomConnected(n, 0.3, 21), leaderIn(n), cfg,
-			core.RunOptions{Scheduler: sched})
-		if err != nil {
-			t.Fatalf("scheduler %d: %v", sched, err)
-		}
-		got := key{
-			n: res.N, rounds: res.Stats.Rounds, levels: res.Stats.Levels,
-			maxBits: res.Stats.MaxMessageBits, totalMsgs: res.Stats.TotalMessages,
-			totalBits: res.Stats.TotalBits,
-		}
-		if want == nil {
-			want = &got
-			continue
-		}
-		if got != *want {
-			t.Fatalf("scheduler %d diverged: %+v vs %+v", sched, got, *want)
-		}
+	for _, T := range []int{1, 2} {
+		t.Run(fmt.Sprintf("T=%d", T), func(t *testing.T) {
+			var want *key
+			for _, sched := range []engine.Scheduler{
+				engine.SchedulerSequential, engine.SchedulerParallel, engine.SchedulerConcurrent,
+			} {
+				s := dynnet.Schedule(dynnet.NewRandomConnected(n, 0.3, 21))
+				if T > 1 {
+					uc, err := dynnet.NewUnionConnected(s, T)
+					if err != nil {
+						t.Fatal(err)
+					}
+					s = uc
+				}
+				cfg := linear.Config{Mode: core.ModeLeader, BlockT: T, MaxLevels: 3*n + 8}
+				res, err := linear.Run(s, leaderIn(n), cfg, core.RunOptions{Scheduler: sched})
+				if err != nil {
+					t.Fatalf("scheduler %d: %v", sched, err)
+				}
+				if res.N != n {
+					t.Fatalf("scheduler %d counted %d, want %d", sched, res.N, n)
+				}
+				got := key{
+					n: res.N, rounds: res.Stats.Rounds, levels: res.Stats.Levels,
+					maxBits: res.Stats.MaxMessageBits, totalMsgs: res.Stats.TotalMessages,
+					totalBits: res.Stats.TotalBits,
+				}
+				if want == nil {
+					want = &got
+					continue
+				}
+				if got != *want {
+					t.Fatalf("scheduler %d diverged: %+v vs %+v", sched, got, *want)
+				}
+			}
+		})
 	}
 }
 

@@ -1,16 +1,17 @@
 package linear
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"anondyn/internal/core"
 	"anondyn/internal/engine"
 	"anondyn/internal/historytree"
 	"anondyn/internal/ints"
-	"anondyn/internal/wire"
 )
 
 // classInfo describes one hash-consed history-tree class: its level, its
@@ -34,13 +35,17 @@ type redRef struct {
 // nodes" step of the full-information protocol — realized without
 // re-encoding entire subtrees into every message. ID assignment order
 // depends on scheduler interleaving, so nothing observable may depend on
-// the numeric IDs; the canonical view serialization orders classes by
-// content instead (see buildView).
+// the numeric IDs: message sizes follow the canonical, content-ordered
+// serialization instead (see viewSizer). The interner also lends the
+// sizers their position scratch, so scratch is held per running sizer,
+// not per process.
 type interner struct {
-	mu     sync.Mutex
-	byKey  map[string]int32
-	infos  []classInfo
-	keyBuf []byte // mu-guarded key-rendering scratch
+	mu      sync.Mutex
+	byKey   map[string]int32
+	infos   []classInfo
+	keyBuf  []byte    // mu-guarded key-rendering scratch
+	scratch sync.Pool // of *sizeScratch
+	stamps  atomic.Uint64
 }
 
 func newInterner() *interner {
@@ -91,15 +96,32 @@ func (in *interner) snapshot() []classInfo {
 	return in.infos[:len(in.infos):len(in.infos)]
 }
 
-// viewMsg is the full-information engine message: an immutable snapshot
-// of the sender's class-ID set plus the sender's current class. The bits
-// field carries the canonical wire size (computed once at send time via
-// wire.SizeOf over the class-ordered wire.View), which the engine's
-// SizeOf hook reports for congestion accounting.
+// newStamp returns a run-unique level stamp; 0 is never returned.
+func (in *interner) newStamp() uint64 { return in.stamps.Add(1) }
+
+// borrowScratch returns sizing scratch whose position table covers n
+// class IDs; return it with in.scratch.Put.
+func (in *interner) borrowScratch(n int) *sizeScratch {
+	sc, _ := in.scratch.Get().(*sizeScratch)
+	if sc == nil {
+		sc = new(sizeScratch)
+	}
+	if len(sc.pos) < n {
+		sc.pos = make([]int32, n+n/2)
+	}
+	return sc
+}
+
+// viewMsg is the full-information engine message: the sender's view as
+// immutable per-level snapshots of class IDs (each level in canonical
+// order) plus the sender's current class. The bits field carries the
+// view's canonical wire size, kept up to date at send time by the
+// sender's viewSizer, which the engine's SizeOf hook reports for
+// congestion accounting.
 type viewMsg struct {
-	classes []int32
-	self    int32
-	bits    int
+	levels []level
+	self   int32
+	bits   int
 }
 
 // sizeOfMessage is the engine SizeOf hook: viewMsg sizes are precomputed
@@ -144,15 +166,14 @@ type process struct {
 func (p *process) run(tr *engine.Transport) (any, error) {
 	T := p.cfg.blockT()
 	self := p.itn.intern(classInfo{level: 0, parent: -1, input: p.input})
-	classes := []int32{self}
-	var have idSet
-	have.add(self)
+	var view viewSizer
+	view.add(self)
 	heard := make(map[int32]int32)
 
 	for {
 		for j := 0; j < T; j++ {
-			msg := &viewMsg{classes: classes[:len(classes):len(classes)], self: self}
-			msg.bits = wire.SizeOf(buildView(p.itn.snapshot(), msg.classes, msg.self))
+			bits := view.size(p.itn, self)
+			msg := &viewMsg{levels: view.levels, self: self, bits: bits}
 			msgs, err := tr.SendAndReceive(msg)
 			if err != nil {
 				return nil, err
@@ -162,12 +183,7 @@ func (p *process) run(tr *engine.Transport) (any, error) {
 				if !ok {
 					return nil, fmt.Errorf("linear: unexpected message %T", raw)
 				}
-				for _, id := range m.classes {
-					if !have.has(id) {
-						have.add(id)
-						classes = append(classes, id)
-					}
-				}
+				view.merge(m.levels)
 				heard[m.self]++
 			}
 		}
@@ -176,20 +192,20 @@ func (p *process) run(tr *engine.Transport) (any, error) {
 		for src, mult := range heard {
 			reds = append(reds, redRef{src: src, mult: mult})
 		}
-		sort.Slice(reds, func(i, j int) bool { return reds[i].src < reds[j].src })
+		slices.SortFunc(reds, func(a, b redRef) int { return cmp.Compare(a.src, b.src) })
 		clear(heard)
 		self = p.itn.intern(classInfo{level: level, parent: self, reds: reds})
-		if !have.has(self) {
-			have.add(self)
-			classes = append(classes, self)
-		}
+		view.add(self)
 
 		depth := int(level)
 		if p.cfg.MaxLevels > 0 && depth > p.cfg.MaxLevels {
 			return nil, fmt.Errorf("linear: view reached %d levels without a decision (MaxLevels %d)",
 				depth, p.cfg.MaxLevels)
 		}
-		oc, err := p.decide(depth, classes, tr)
+		// Place the block's arrivals so the view's levels are whole; the
+		// next send reuses this size.
+		view.size(p.itn, self)
+		oc, err := p.decide(depth, view.levels, tr)
 		if err != nil {
 			return nil, err
 		}
@@ -201,14 +217,14 @@ func (p *process) run(tr *engine.Transport) (any, error) {
 
 // decide applies the mode's decision rule at the current block depth and
 // returns a non-nil Outcome once the process can output.
-func (p *process) decide(depth int, classes []int32, tr *engine.Transport) (*core.Outcome, error) {
+func (p *process) decide(depth int, levels []level, tr *engine.Transport) (*core.Outcome, error) {
 	T := p.cfg.blockT()
 	switch p.cfg.Mode {
 	case core.ModeLeader:
 		if !p.input.Leader {
 			return nil, nil
 		}
-		tree, err := p.materialize(classes)
+		tree, err := p.materialize(levels)
 		if err != nil {
 			return nil, err
 		}
@@ -246,7 +262,7 @@ func (p *process) decide(depth int, classes []int32, tr *engine.Transport) (*cor
 		if depth < lag {
 			return nil, nil
 		}
-		tree, err := p.materialize(classes)
+		tree, err := p.materialize(levels)
 		if err != nil {
 			return nil, err
 		}
@@ -308,21 +324,21 @@ func chainComplete(t *historytree.Tree, depth int) int {
 	return depth
 }
 
-// materialize builds a historytree.Tree from the class-ID set. Global
-// class IDs become node IDs; views are closed under parents and red
-// sources by construction (whole views are merged), so the lookups
-// cannot miss.
-func (p *process) materialize(classes []int32) (*historytree.Tree, error) {
+// materialize builds a historytree.Tree from the view's levels. Global
+// class IDs become node IDs, added level by level in ID order so parents
+// precede children; views are closed under parents and red sources by
+// construction (whole views are merged), so the lookups cannot miss.
+func (p *process) materialize(levels []level) (*historytree.Tree, error) {
 	infos := p.itn.snapshot()
-	ids := append([]int32(nil), classes...)
-	// Order by level, then ID, so parents precede children.
-	sort.Slice(ids, func(i, j int) bool {
-		li, lj := infos[ids[i]].level, infos[ids[j]].level
-		if li != lj {
-			return li < lj
-		}
-		return ids[i] < ids[j]
-	})
+	n := 0
+	for _, l := range levels {
+		n += len(l.ids)
+	}
+	ids := make([]int32, 0, n)
+	for _, l := range levels {
+		ids = append(ids, l.ids...)
+		slices.Sort(ids[len(ids)-len(l.ids):])
+	}
 	t := historytree.New()
 	for _, id := range ids {
 		ci := infos[id]
@@ -348,84 +364,4 @@ func (p *process) materialize(classes []int32) (*historytree.Tree, error) {
 		}
 	}
 	return t, nil
-}
-
-// buildView renders a class-ID set as a canonical wire.View: levels
-// ascending, level-0 classes ordered by input, deeper classes by
-// (parent position, red list); positions are the resulting indices.
-// Hash-consing makes the within-level keys unique, so the order — and
-// therefore the encoding and its size — depends only on the abstract
-// view, not on interner ID assignment order, which varies across
-// schedulers.
-func buildView(infos []classInfo, ids []int32, self int32) *wire.View {
-	maxLevel := int32(0)
-	for _, id := range ids {
-		if l := infos[id].level; l > maxLevel {
-			maxLevel = l
-		}
-	}
-	buckets := make([][]int32, maxLevel+1)
-	for _, id := range ids {
-		l := infos[id].level
-		buckets[l] = append(buckets[l], id)
-	}
-	pos := make(map[int32]int32, len(ids))
-	out := &wire.View{Classes: make([]wire.ViewClass, 0, len(ids))}
-	for level, bucket := range buckets {
-		cand := make([]wire.ViewClass, len(bucket))
-		for i, id := range bucket {
-			ci := infos[id]
-			vc := wire.ViewClass{Level: int32(level), Parent: -1}
-			if ci.parent >= 0 {
-				vc.Parent = pos[ci.parent]
-			} else {
-				vc.Leader = ci.input.Leader
-				vc.Value = ci.input.Value
-			}
-			if len(ci.reds) > 0 {
-				vc.Reds = make([]wire.ViewRed, len(ci.reds))
-				for j, r := range ci.reds {
-					vc.Reds[j] = wire.ViewRed{Src: pos[r.src], Mult: r.mult}
-				}
-				sort.Slice(vc.Reds, func(a, b int) bool { return vc.Reds[a].Src < vc.Reds[b].Src })
-			}
-			cand[i] = vc
-		}
-		order := make([]int, len(bucket))
-		for i := range order {
-			order[i] = i
-		}
-		sort.Slice(order, func(a, b int) bool { return lessViewClass(cand[order[a]], cand[order[b]]) })
-		for _, oi := range order {
-			pos[bucket[oi]] = int32(len(out.Classes))
-			out.Classes = append(out.Classes, cand[oi])
-		}
-	}
-	out.Self = pos[self]
-	return out
-}
-
-// lessViewClass is the canonical within-level order: by input for level
-// 0, by (parent position, red list) for deeper levels. Same-level classes
-// never compare equal — the interner guarantees identical content means
-// identical ID, and each ID appears once.
-func lessViewClass(a, b wire.ViewClass) bool {
-	if a.Level == 0 {
-		if a.Leader != b.Leader {
-			return a.Leader
-		}
-		return a.Value < b.Value
-	}
-	if a.Parent != b.Parent {
-		return a.Parent < b.Parent
-	}
-	for i := 0; i < len(a.Reds) && i < len(b.Reds); i++ {
-		if a.Reds[i].Src != b.Reds[i].Src {
-			return a.Reds[i].Src < b.Reds[i].Src
-		}
-		if a.Reds[i].Mult != b.Reds[i].Mult {
-			return a.Reds[i].Mult < b.Reds[i].Mult
-		}
-	}
-	return len(a.Reds) < len(b.Reds)
 }

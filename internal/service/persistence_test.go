@@ -155,6 +155,18 @@ func TestServerHealthzAndMetrics(t *testing.T) {
 	}
 }
 
+// waitRounds waits until the job's engine has routed at least one round.
+func waitRounds(t *testing.T, job *Job, timeout time.Duration) {
+	t.Helper()
+	deadline := time.Now().Add(timeout)
+	for job.Status().Rounds == 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("job %s routed no round within %v (state %s)", job.ID, timeout, job.Status().State)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+}
+
 // TestEventStreamClientDisconnect is the goroutine-leak regression for the
 // NDJSON event stream: clients that vanish mid-stream must release their
 // handler goroutines and job subscriptions promptly, while the job is
@@ -186,6 +198,10 @@ func TestEventStreamClientDisconnect(t *testing.T) {
 		t.Fatalf("job %s vanished", submitted.ID)
 	}
 	waitState(t, job, JobRunning, 10*time.Second)
+	// JobRunning is set before the engine starts the process coroutines.
+	// A routed round means every coroutine is up, so the goroutine
+	// baseline below counts them and only handler goroutines can move it.
+	waitRounds(t, job, 10*time.Second)
 
 	subscribers := func() int {
 		job.mu.Lock()
