@@ -61,7 +61,6 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		keepAll    = fs.Bool("keepall", false, "ablation: disable the Section 3.4 spanning-tree restriction")
 		eager      = fs.Bool("eager", false, "skip the confirmation window (pseudocode-literal termination)")
 		traceFlag  = fs.Bool("trace", false, "print a per-round protocol trace and summary")
-		scheduler  = fs.String("scheduler", "sequential", "engine scheduler: sequential (direct execution), parallel (sharded workers), or concurrent")
 		compact    = fs.Bool("compact", false, "release consumed VHT levels (O(active view) memory; incompatible with faulty resets that rewind far)")
 		private    = fs.Bool("privatevht", false, "disable cross-process structural sharing (each process keeps its own VHT; ablation knob)")
 		arith      = fs.String("arith", "modular", "counting-solver arithmetic: modular (residue/CRT) or big (big.Int witness)")
@@ -73,7 +72,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	spec, err := buildSpec(*n, *protocol, *topology, *density, *seed, *blockT,
-		*leaderless, *inputsFlag, *halt, *bitLimit, *fine, *batch, *keepAll, *eager, *scheduler,
+		*leaderless, *inputsFlag, *halt, *bitLimit, *fine, *batch, *keepAll, *eager,
 		*compact, *private, *arith, *faultsFlag, *faultSeed, *deadline)
 	if err != nil {
 		fmt.Fprintln(stderr, "cadn: invalid usage:", err)
@@ -90,7 +89,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 // Any error it returns is a usage error (exit status 2).
 func buildSpec(n int, protocol, topology string, density float64, seed int64, blockT int,
 	leaderless bool, inputsFlag string, halt bool, bitLimit int,
-	fine bool, batch int, keepAll, eager bool, scheduler string,
+	fine bool, batch int, keepAll, eager bool,
 	compact, private bool, arith string, faultsSpec string, faultSeed int64, deadlineMS int) (service.JobSpec, error) {
 	spec := service.JobSpec{
 		N:          n,
@@ -106,7 +105,6 @@ func buildSpec(n int, protocol, topology string, density float64, seed int64, bl
 		Batch:      batch,
 		KeepAll:    keepAll,
 		Eager:      eager,
-		Scheduler:  scheduler,
 		CompactVHT: compact,
 		PrivateVHT: private,
 		Arithmetic: arith,

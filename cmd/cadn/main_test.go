@@ -133,13 +133,12 @@ func TestValidateFlagCombinations(t *testing.T) {
 		bitLimit   int
 		fine       bool
 		batch      int
-		scheduler  string
 		arith      string
 		faults     string
 		faultSeed  int64
 		deadlineMS int
 	}
-	ok := args{n: 4, protocol: "congested", topology: "random", density: 0.3, seed: 1, blockT: 1, scheduler: "sequential", arith: "modular"}
+	ok := args{n: 4, protocol: "congested", topology: "random", density: 0.3, seed: 1, blockT: 1, arith: "modular"}
 	tests := []struct {
 		name    string
 		mut     func(*args)
@@ -172,8 +171,6 @@ func TestValidateFlagCombinations(t *testing.T) {
 		{name: "isolator-with-T", mut: func(a *args) { a.topology = "isolator"; a.blockT = 3 }, wantErr: "isolator"},
 		{name: "inputs-count-mismatch", mut: func(a *args) { a.inputs = "1,2" }, wantErr: "input values"},
 		{name: "inputs-not-numeric", mut: func(a *args) { a.inputs = "a,b,c,d" }, wantErr: "-inputs value"},
-		{name: "unknown-scheduler", mut: func(a *args) { a.scheduler = "threads" }, wantErr: "unknown scheduler"},
-		{name: "parallel-scheduler-ok", mut: func(a *args) { a.scheduler = "parallel" }, wantErr: ""},
 		{name: "unknown-arithmetic", mut: func(a *args) { a.arith = "float" }, wantErr: "unknown arithmetic"},
 		{name: "big-arithmetic-ok", mut: func(a *args) { a.arith = "big" }, wantErr: ""},
 		{name: "malformed-faults", mut: func(a *args) { a.faults = "spike:1" }, wantErr: "invalid fault plan"},
@@ -192,7 +189,7 @@ func TestValidateFlagCombinations(t *testing.T) {
 			a := ok
 			tt.mut(&a)
 			_, err := buildSpec(a.n, a.protocol, a.topology, a.density, a.seed, a.blockT,
-				a.leaderless, a.inputs, a.halt, a.bitLimit, a.fine, a.batch, false, false, a.scheduler,
+				a.leaderless, a.inputs, a.halt, a.bitLimit, a.fine, a.batch, false, false,
 				false, false, a.arith, a.faults, a.faultSeed, a.deadlineMS)
 			if tt.wantErr == "" {
 				if err != nil {
@@ -297,6 +294,7 @@ func TestExitCodes(t *testing.T) {
 		{name: "unknown-protocol", args: []string{"-n", "4", "-protocol", "quantum"}, want: 2},
 		{name: "linear-halt", args: []string{"-n", "4", "-protocol", "linear", "-halt"}, want: 2},
 		{name: "linear-compact", args: []string{"-n", "4", "-protocol", "linear", "-compact"}, want: 2},
+		{name: "removed-scheduler-flag", args: []string{"-n", "4", "-scheduler", "sequential"}, want: 2},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

@@ -47,9 +47,9 @@ func RunTokenForward(s dynnet.Schedule, bound int, seed int64) (*TokenForwardRes
 	space := int64(bound) * int64(bound) * int64(bound)
 
 	rng := rand.New(rand.NewSource(seed))
-	steppers := make([]engine.Stepper, n)
+	procs := make([]engine.Coroutine, n)
 	observer := (*tokenStepper)(nil)
-	for i := range steppers {
+	for i := range procs {
 		st := &tokenStepper{
 			rng:    rand.New(rand.NewSource(rng.Int63())),
 			known:  map[int64]bool{},
@@ -57,13 +57,13 @@ func RunTokenForward(s dynnet.Schedule, bound int, seed int64) (*TokenForwardRes
 		}
 		st.self = st.rng.Int63n(space)
 		st.known[st.self] = true
-		steppers[i] = st
+		procs[i] = engine.FromStepper(st)
 		if i == 0 {
 			observer = st
 		}
 	}
 
-	res, err := engine.RunSteppers(engine.Config{
+	res, err := engine.Run(engine.Config{
 		Schedule:  s,
 		MaxRounds: rounds + 1,
 		SizeOf: func(m engine.Message) int {
@@ -73,7 +73,7 @@ func RunTokenForward(s dynnet.Schedule, bound int, seed int64) (*TokenForwardRes
 			}
 			return varintBits(tm.token)
 		},
-	}, steppers)
+	}, procs)
 	if err != nil {
 		return nil, err
 	}

@@ -46,7 +46,7 @@ func PerfSuite() []NamedBench {
 		// the scaling point the modular solver makes affordable.
 		{Name: "E2Count/n=24", Bench: e2Bench(24, false)},
 		{Name: "E2Count/n=48", Bench: e2Bench(48, false)},
-		// n=96 is the routine-scale target of the PR 8 scheduler/compaction
+		// n=96 is the routine-scale target of the PR 8 runner/compaction
 		// work: one full counting run at double the previous largest point,
 		// kept in the suite so its cost curve is tracked like any other.
 		{Name: "E2Count/n=96", Bench: e2Bench(96, false)},
@@ -60,9 +60,7 @@ func PerfSuite() []NamedBench {
 		{Name: "E2SolverReplayIncremental/n=12", Bench: e2SolverReplayBench(12, true)},
 		{Name: "E4RedEdges/n=10", Bench: e4Bench(10)},
 		{Name: "E6NonCongested/n=10", Bench: e6Bench(10)},
-		{Name: "EngineSchedulerSequential/n=32", Bench: engineBench(32, engine.SchedulerSequential)},
-		{Name: "EngineSchedulerConcurrent/n=32", Bench: engineBench(32, engine.SchedulerConcurrent)},
-		{Name: "EngineSchedulerParallel/n=32", Bench: engineBench(32, engine.SchedulerParallel)},
+		{Name: "EngineSchedulerSequential/n=32", Bench: engineBench(32)},
 		// The linear full-information protocol's cost curve: Θ(n) rounds
 		// of views that grow to Θ(n³ log n) bits, each message sized by
 		// the sender's incremental viewSizer.
@@ -298,12 +296,12 @@ func e6Bench(n int) func(b *testing.B) {
 	}
 }
 
-// engineBench is the engine's dense-delivery microbenchmark under the
-// given scheduler: n processes echoing over a complete graph for 50 rounds
-// per iteration. The Sequential/Concurrent pair guards the direct-execution
-// hot path against regression and keeps the scheduler gap visible in every
-// report.
-func engineBench(n int, sched engine.Scheduler) func(b *testing.B) {
+// engineBench is the engine's dense-delivery microbenchmark: n processes
+// echoing over a complete graph for 50 rounds per iteration. It guards the
+// runner's hot path against regression; its suite entry keeps the name it
+// had when the engine offered several schedulers, so it stays comparable
+// with older BENCH_PR*.json snapshots.
+func engineBench(n int) func(b *testing.B) {
 	return func(b *testing.B) {
 		const rounds = 50
 		schedule := dynnet.NewStatic(dynnet.Complete(n))
@@ -319,7 +317,7 @@ func engineBench(n int, sched engine.Scheduler) func(b *testing.B) {
 					return nil, nil
 				})
 			}
-			cfg := engine.Config{Schedule: schedule, MaxRounds: rounds + 1, Scheduler: sched}
+			cfg := engine.Config{Schedule: schedule, MaxRounds: rounds + 1}
 			if _, err := engine.Run(cfg, procs); err != nil {
 				b.Fatal(err)
 			}

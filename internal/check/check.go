@@ -26,8 +26,7 @@ import (
 )
 
 // Checker validates protocol invariants live (as recorder events arrive)
-// and post-hoc (Verify). It is safe for concurrent use; processes under
-// the concurrent scheduler report events from their own goroutines.
+// and post-hoc (Verify). It is safe for concurrent use.
 type Checker struct {
 	n      int
 	inputs []historytree.Input

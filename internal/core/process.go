@@ -572,6 +572,14 @@ func (p *Process) constructLevel() (levelControl, error) {
 		if accepted.Label == wire.LabelEnd {
 			return levelDone, nil
 		}
+		if (accepted.Label == wire.LabelInput) != inputLevel {
+			// An Input while building a VHT level, or an Edge or Done at the
+			// input level (where no temporary VHT exists), means another
+			// process is a level ahead or behind: in leaderless mode, the
+			// diameter bound is below the network's dynamic diameter.
+			return levelDone, fmt.Errorf("core: level %d accepted out-of-step message %s (diameter bound %d too small?)",
+				p.currentLevel, accepted, p.cfg.DiamBound)
+		}
 		if err := p.applyAccepted(accepted, true); err != nil {
 			return levelDone, err
 		}

@@ -104,14 +104,6 @@ type RunOptions struct {
 	// Trace, if non-nil, observes every round's sent messages (see
 	// internal/trace for a ready-made logger).
 	Trace func(round int, sent []engine.Message)
-	// Scheduler selects the engine's execution strategy. The zero value is
-	// engine.SchedulerSequential, the direct-execution default;
-	// engine.SchedulerParallel shards the process ring across GOMAXPROCS
-	// workers with a two-phase barrier (same Result and Trace, less wall
-	// clock on multi-core hosts); engine.SchedulerConcurrent runs every
-	// process on its own goroutine (slower, kept for the equivalence
-	// contract and race coverage).
-	Scheduler engine.Scheduler
 }
 
 // Run executes the configured protocol over the schedule with the given
@@ -164,7 +156,6 @@ func run(ecfg engine.Config, n int, inputs []historytree.Input, cfg Config, opts
 	ecfg.SizeOf = newSizeMemo()
 	ecfg.BitLimit = opts.BitLimit
 	ecfg.Trace = opts.Trace
-	ecfg.Scheduler = opts.Scheduler
 	if cfg.Mode == ModeLeader && !cfg.SimultaneousHalt {
 		// Basic contract: the run is over once the leader has output n.
 		ecfg.StopWhen = func(outputs map[int]any) bool {

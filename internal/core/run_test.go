@@ -1,9 +1,12 @@
 package core
 
 import (
+	"errors"
+	"strings"
 	"testing"
 
 	"anondyn/internal/dynnet"
+	"anondyn/internal/engine"
 	"anondyn/internal/historytree"
 )
 
@@ -72,5 +75,31 @@ func TestCountingDynamicSchedules(t *testing.T) {
 				t.Fatalf("%s n=%d: counted %d", tt.name, n, res.N)
 			}
 		}
+	}
+}
+
+// TestLeaderlessUnderestimatedDiameterFailsTyped is the regression for a
+// nil dereference: with a diameter bound below the path's dynamic
+// diameter, a process still building the input level accepted an Edge
+// from a process a level ahead and applied it to a temporary VHT that
+// does not exist at that level. The run must fail with a protocol error —
+// no panic, no answer.
+func TestLeaderlessUnderestimatedDiameterFailsTyped(t *testing.T) {
+	vals := []int64{0, 1, 0, 0, 0, 1, 0, 2, 0}
+	inputs := make([]historytree.Input, len(vals))
+	for i, v := range vals {
+		inputs[i].Value = v
+	}
+	res, err := Run(dynnet.NewRandomConnected(9, 0, 3), inputs,
+		Config{Mode: ModeLeaderless, DiamBound: 3}, RunOptions{})
+	if err == nil || res != nil {
+		t.Fatalf("got result %+v, err %v; want an error and no answer", res, err)
+	}
+	var pe *engine.PanicError
+	if errors.As(err, &pe) {
+		t.Fatalf("run panicked: %v\n%s", err, pe.Stack)
+	}
+	if !strings.Contains(err.Error(), "out-of-step") {
+		t.Fatalf("err = %v, want the out-of-step level error", err)
 	}
 }

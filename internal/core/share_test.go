@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"anondyn/internal/dynnet"
-	"anondyn/internal/engine"
 	"anondyn/internal/historytree"
 	"anondyn/internal/wire"
 )
@@ -138,37 +137,27 @@ func TestSharedVHTEquivalence(t *testing.T) {
 	}
 }
 
-// TestSharedVHTEquivalenceSchedulers repeats the core equivalence across
-// the engine's execution strategies: the sharing layer's locking must not
-// change results under real parallelism.
+// TestSharedVHTEquivalenceSchedulers repeats the core equivalence on a
+// sparser schedule with binary leaderless inputs, on the engine's
+// sequential runner (the only one left of the schedulers it once swept).
 func TestSharedVHTEquivalenceSchedulers(t *testing.T) {
-	schedulers := []struct {
-		name string
-		s    engine.Scheduler
-	}{
-		{"sequential", engine.SchedulerSequential},
-		{"parallel", engine.SchedulerParallel},
-		{"concurrent", engine.SchedulerConcurrent},
-	}
 	const n = 12
 	s := dynnet.NewRandomConnected(n, 0.35, 7)
 	for _, mode := range []string{"leader", "leaderless"} {
-		for _, sched := range schedulers {
-			t.Run(mode+"/"+sched.name, func(t *testing.T) {
-				cfg := Config{Mode: ModeLeader, MaxLevels: 3*n + 6}
-				inputs := leaderInputs(n)
-				if mode == "leaderless" {
-					cfg.Mode = ModeLeaderless
-					cfg.DiamBound = n
-					inputs = make([]historytree.Input, n)
-					for i := range inputs {
-						inputs[i].Value = int64(i % 2)
-					}
+		t.Run(mode+"/sequential", func(t *testing.T) {
+			cfg := Config{Mode: ModeLeader, MaxLevels: 3*n + 6}
+			inputs := leaderInputs(n)
+			if mode == "leaderless" {
+				cfg.Mode = ModeLeaderless
+				cfg.DiamBound = n
+				inputs = make([]historytree.Input, n)
+				for i := range inputs {
+					inputs[i].Value = int64(i % 2)
 				}
-				shared, private := runPair(t, s, inputs, cfg, RunOptions{Scheduler: sched.s})
-				requireSameResult(t, shared, private)
-			})
-		}
+			}
+			shared, private := runPair(t, s, inputs, cfg, RunOptions{})
+			requireSameResult(t, shared, private)
+		})
 	}
 }
 

@@ -9,34 +9,21 @@
 // to the schedule, and accounts for message sizes so congestion bounds can
 // be asserted.
 //
-// Three schedulers execute the same semantics (see Scheduler):
+// One runner executes every run: each process is a pull coroutine, resumed
+// one at a time by direct coroutine switch — no channels, no scheduler
+// queueing, no contention — so the per-round cost is the protocol's own work
+// plus the shared routing. State machines (Stepper) run on it through
+// FromStepper.
 //
-//   - SchedulerSequential (the default) runs each process as a pull
-//     coroutine and resumes them one at a time by direct coroutine switch —
-//     no channels, no scheduler queueing, no contention — so the per-round
-//     cost is the protocol's own work plus the shared routing.
-//   - SchedulerParallel shards the process ring across min(GOMAXPROCS, n)
-//     workers, each round a parallel compute/submit phase followed by a
-//     single-threaded route+deliver phase under a two-phase barrier —
-//     the throughput choice once per-round protocol work dwarfs the
-//     barrier's O(shards) channel operations.
-//   - SchedulerConcurrent runs every process goroutine in parallel under a
-//     central coordinator. It is retained for the scheduler equivalence
-//     contract (DESIGN.md §6) and race-detector coverage.
-//
-// State machines (Stepper) can additionally run on RunSteppers, a plain
-// function-call round loop with zero synchronization.
-//
-// Execution is deterministic under either scheduler: rounds are strict
-// barriers, the delivery order within a round is the canonical link order
-// of the multigraph, and protocols treat deliveries as multisets.
+// Execution is deterministic: rounds are strict barriers, the delivery order
+// within a round is the canonical link order of the multigraph, and
+// protocols treat deliveries as multisets.
 package engine
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"anondyn/internal/dynnet"
@@ -84,6 +71,27 @@ func (e *BitLimitError) Error() string {
 		e.Round, e.Process, e.Bits, e.Limit)
 }
 
+// PanicError reports a process coroutine that panicked. The runner recovers
+// the panic, unwinds the other processes and returns the partial Result
+// alongside the error (wrapped with the process index; test for it with
+// errors.As), so a faulty protocol fails its run instead of the whole
+// program.
+type PanicError struct {
+	// PID is the index of the process that panicked.
+	PID int
+	// Round is the number of rounds the run had completed at the panic.
+	Round int
+	// Value is the value passed to panic.
+	Value any
+	// Stack is the panicking goroutine's stack trace.
+	Stack []byte
+}
+
+// Error implements the error interface.
+func (e *PanicError) Error() string {
+	return fmt.Sprintf("panic after %d rounds: %v", e.Round, e.Value)
+}
+
 // AdaptiveSchedule is a reactive adversary: it chooses each round's
 // multigraph AFTER seeing the messages the processes are sending this
 // round (the strongly adaptive model). For deterministic protocols this
@@ -101,56 +109,6 @@ type AdaptiveSchedule interface {
 	Graph(round int, sent []Message) *dynnet.Multigraph
 }
 
-// Scheduler selects how the engine executes process coroutines. Both
-// schedulers implement identical semantics (verified by the equivalence
-// suite in equivalence_test.go); they differ only in how control moves
-// between the processes and the round barrier.
-type Scheduler int
-
-const (
-	// SchedulerSequential is the default (zero value): processes run as
-	// pull coroutines resumed one at a time by direct coroutine switch,
-	// with no central event loop, no channels, and alive/waiting tracked by
-	// plain counters. One process runs at any moment and control transfers
-	// bypass the goroutine scheduler entirely. Simulations are
-	// round-throughput-bound (the protocol runs Θ(n³) rounds), which makes
-	// this the right default; external cancellation is observed at round
-	// boundaries.
-	SchedulerSequential Scheduler = iota
-	// SchedulerConcurrent runs every process goroutine in parallel under a
-	// central coordinator with a select-based event loop. It is retained
-	// for the sequential-vs-concurrent equivalence contract (DESIGN.md §6)
-	// and so the race detector can exercise real cross-goroutine
-	// interleavings; cancellation is additionally observed while waiting
-	// for submissions.
-	SchedulerConcurrent
-	// SchedulerParallel shards the process ring across min(GOMAXPROCS, n)
-	// workers. Each round is a parallel compute/submit phase — every worker
-	// resumes its own processes as pull coroutines, writing only pid-indexed
-	// state its shard owns — followed by a route+deliver phase on the
-	// runner's goroutine through the same shared router as the other
-	// schedulers, under a lightweight two-phase barrier (one command send
-	// and one reply receive per shard) instead of the sequential runner's
-	// n+1 coroutine handoffs. Results and traces are byte-identical to the
-	// other schedulers (equivalence_test.go); this is the throughput choice
-	// for large n, where per-round protocol work dominates the barrier cost.
-	SchedulerParallel
-)
-
-// String implements fmt.Stringer.
-func (s Scheduler) String() string {
-	switch s {
-	case SchedulerSequential:
-		return "sequential"
-	case SchedulerConcurrent:
-		return "concurrent"
-	case SchedulerParallel:
-		return "parallel"
-	default:
-		return fmt.Sprintf("Scheduler(%d)", int(s))
-	}
-}
-
 // Config parameterizes a run.
 type Config struct {
 	// Schedule supplies the communication multigraph of every round.
@@ -158,22 +116,19 @@ type Config struct {
 	Schedule dynnet.Schedule
 	// Adaptive, if set, replaces Schedule with a reactive adversary.
 	Adaptive AdaptiveSchedule
-	// Scheduler selects the execution strategy. The zero value is
-	// SchedulerSequential, the direct-execution default.
-	Scheduler Scheduler
 	// MaxRounds caps the run; when exceeded, Run cancels the processes and
 	// returns ErrMaxRounds. It must be positive.
 	MaxRounds int
 	// Deadline, when positive, bounds the run's wall-clock time: once it
-	// has elapsed the runner stops the processes at its next scheduling
-	// point and reports a *WatchdogError (errors.Is ErrWatchdog). This is
+	// has elapsed the runner stops the processes at the next round
+	// boundary and reports a *WatchdogError (errors.Is ErrWatchdog). This is
 	// the engine's watchdog — it turns hangs caused by out-of-model faults
 	// or unsatisfiable stop conditions into structured failures. Zero
 	// means no deadline.
 	Deadline time.Duration
 	// SizeOf measures a message in bits for congestion accounting. If nil,
-	// sizes are not tracked and BitLimit is ignored. It is always invoked
-	// from the runner's own goroutine, never concurrently.
+	// sizes are not tracked and BitLimit is ignored. It is never invoked
+	// concurrently.
 	SizeOf func(Message) int
 	// BitLimit, when positive and SizeOf is set, aborts the run with a
 	// *BitLimitError as soon as any message exceeds it.
@@ -190,8 +145,7 @@ type Config struct {
 	Trace func(round int, sent []Message)
 }
 
-// validate checks the run parameters shared by every scheduler and returns
-// the process count.
+// validate checks the run parameters and returns the process count.
 func (cfg *Config) validate(procs int) (int, error) {
 	var n int
 	switch {
@@ -209,11 +163,6 @@ func (cfg *Config) validate(procs int) (int, error) {
 	}
 	if cfg.MaxRounds <= 0 {
 		return 0, fmt.Errorf("engine: non-positive MaxRounds %d", cfg.MaxRounds)
-	}
-	switch cfg.Scheduler {
-	case SchedulerSequential, SchedulerConcurrent, SchedulerParallel:
-	default:
-		return 0, fmt.Errorf("engine: unknown scheduler %d", int(cfg.Scheduler))
 	}
 	return n, nil
 }
@@ -240,12 +189,10 @@ func Run(cfg Config, procs []Coroutine) (*Result, error) {
 }
 
 // RunContext is Run with external cancellation: when ctx is cancelled the
-// runner stops the run at its next scheduling point (round boundaries
-// under the sequential scheduler; additionally while waiting for
-// submissions under the concurrent one), releases every process goroutine,
-// waits for them to exit, and returns an error wrapping ctx's cause. The
-// partial Result (rounds executed so far, outputs already produced) is
-// still returned alongside the error.
+// runner stops the run at the next round boundary, unwinds every process
+// coroutine, and returns an error wrapping ctx's cause. The partial Result
+// (rounds executed so far, outputs already produced) is still returned
+// alongside the error.
 func RunContext(ctx context.Context, cfg Config, procs []Coroutine) (*Result, error) {
 	n, err := cfg.validate(len(procs))
 	if err != nil {
@@ -254,41 +201,21 @@ func RunContext(ctx context.Context, cfg Config, procs []Coroutine) (*Result, er
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if cfg.Scheduler == SchedulerSequential {
-		s := &seqRunner{
-			cfg:     cfg,
-			ctx:     ctx,
-			wd:      newWatchdog(cfg.Deadline),
-			n:       n,
-			rt:      newRouter(&cfg, n),
-			state:   make([]procState, n),
-			pending: make([]Message, n),
-			next:    make([]func() (struct{}, bool), n),
-			stop:    make([]func(), n),
-			yield:   make([]func(struct{}) bool, n),
-			inbox:   make([][]Message, n),
-			done:    make([]seqDone, n),
-		}
-		return s.run(procs)
+	s := &seqRunner{
+		cfg:     cfg,
+		ctx:     ctx,
+		wd:      newWatchdog(cfg.Deadline),
+		n:       n,
+		rt:      newRouter(&cfg, n),
+		state:   make([]procState, n),
+		pending: make([]Message, n),
+		next:    make([]func() (struct{}, bool), n),
+		stop:    make([]func(), n),
+		yield:   make([]func(struct{}) bool, n),
+		inbox:   make([][]Message, n),
+		done:    make([]seqDone, n),
 	}
-	if cfg.Scheduler == SchedulerParallel {
-		return newParRunner(ctx, cfg, n).run(procs)
-	}
-	c := &coordinator{
-		cfg:    cfg,
-		ctx:    ctx,
-		wd:     newWatchdog(cfg.Deadline),
-		n:      n,
-		rt:     newRouter(&cfg, n),
-		events: make(chan event),
-		stop:   make(chan struct{}),
-		inbox:  make([]chan []Message, n),
-		state:  make([]procState, n),
-	}
-	for i := range c.inbox {
-		c.inbox[i] = make(chan []Message, 1)
-	}
-	return c.run(procs)
+	return s.run(procs)
 }
 
 type procState int
@@ -299,43 +226,11 @@ const (
 	stateDone              // returned an output
 )
 
-type event struct {
-	pid    int
-	msg    Message // valid when kind == evSubmit
-	output any     // valid when kind == evDone
-	err    error   // valid when kind == evDone
-	kind   evKind
-}
-
-type evKind int
-
-const (
-	evSubmit evKind = iota + 1
-	evDone
-)
-
-type coordinator struct {
-	cfg    Config
-	ctx    context.Context
-	wd     watchdog
-	n      int
-	rt     *router
-	events chan event
-	stop   chan struct{}
-	inbox  []chan []Message
-	state  []procState
-
-	pending []Message // message submitted by each process this round
-}
-
 // Transport is the per-process communication endpoint handed to
-// Coroutine.Run. Exactly one of coord, seq, and par is set, matching the
-// scheduler the run was started under.
+// Coroutine.Run.
 type Transport struct {
 	pid   int
-	coord *coordinator
-	seq   *seqRunner
-	par   *parRunner
+	run   *seqRunner
 	round int
 }
 
@@ -358,163 +253,5 @@ func (t *Transport) Round() int { return t.round }
 // SendAndReceive call: the engine round-robins the backing storage between
 // rounds. Processes that need deliveries across rounds must copy them.
 func (t *Transport) SendAndReceive(msg Message) ([]Message, error) {
-	if t.seq != nil {
-		return t.seq.sendAndReceive(t, msg)
-	}
-	if t.par != nil {
-		return t.par.sendAndReceive(t, msg)
-	}
-	select {
-	case t.coord.events <- event{pid: t.pid, kind: evSubmit, msg: msg}:
-	case <-t.coord.stop:
-		return nil, ErrStopped
-	}
-	// A delivery that has already been made must win over cancellation:
-	// the round completed for every participant, so this process is
-	// entitled to observe it (otherwise behaviour at the final round would
-	// depend on goroutine scheduling).
-	select {
-	case msgs := <-t.coord.inbox[t.pid]:
-		t.round++
-		return msgs, nil
-	default:
-	}
-	select {
-	case msgs := <-t.coord.inbox[t.pid]:
-		t.round++
-		return msgs, nil
-	case <-t.coord.stop:
-		return nil, ErrStopped
-	}
-}
-
-func (c *coordinator) run(procs []Coroutine) (*Result, error) {
-	var wg sync.WaitGroup
-	for i := range procs {
-		c.state[i] = stateRunning
-		tr := &Transport{pid: i, coord: c}
-		proc := procs[i]
-		wg.Add(1)
-		go func(pid int) {
-			defer wg.Done()
-			out, err := proc.Run(tr)
-			select {
-			case c.events <- event{pid: pid, kind: evDone, output: out, err: err}:
-			case <-c.stop:
-			}
-		}(i)
-	}
-
-	res := &Result{Outputs: make(map[int]any)}
-	c.pending = make([]Message, c.n)
-	var runErr error
-
-	// alive and waiting are maintained incrementally on submit/done/deliver
-	// transitions, so the per-event cost is O(1) instead of the former
-	// O(n) census scan (O(n²) coordinator work per round).
-	alive, waiting := c.n, 0
-
-	// The watchdog is observed both per event-loop iteration and, via the
-	// timer channel, while blocked waiting for submissions — a wedged
-	// coroutine (one that never submits again) would otherwise hang the
-	// select forever.
-	wdTimer, wdC := c.wd.timer()
-	if wdTimer != nil {
-		defer wdTimer.Stop()
-	}
-
-loop:
-	for {
-		if err := c.ctx.Err(); err != nil {
-			runErr = fmt.Errorf("engine: run cancelled: %w", context.Cause(c.ctx))
-			break
-		}
-		if err := c.wd.check(c.rt.round); err != nil {
-			runErr = err
-			break
-		}
-		if alive == 0 {
-			break // every process returned
-		}
-		if waiting == alive {
-			// Round barrier reached: deliver.
-			if err := c.deliver(res); err != nil {
-				runErr = err
-				break
-			}
-			waiting = 0
-			if c.cfg.StopWhen != nil && c.cfg.StopWhen(res.Outputs) {
-				break
-			}
-			if c.rt.round >= c.cfg.MaxRounds {
-				runErr = ErrMaxRounds
-				break
-			}
-			continue
-		}
-		var ev event
-		select {
-		case ev = <-c.events:
-		case <-wdC:
-			runErr = c.wd.fail(c.rt.round)
-			break loop
-		case <-c.ctx.Done():
-			runErr = fmt.Errorf("engine: run cancelled: %w", context.Cause(c.ctx))
-			break loop
-		}
-		switch ev.kind {
-		case evSubmit:
-			c.state[ev.pid] = stateWaiting
-			c.pending[ev.pid] = ev.msg
-			waiting++
-		case evDone:
-			if c.state[ev.pid] == stateWaiting {
-				waiting--
-			}
-			c.state[ev.pid] = stateDone
-			alive--
-			if ev.err != nil && !errors.Is(ev.err, ErrStopped) {
-				runErr = fmt.Errorf("engine: process %d: %w", ev.pid, ev.err)
-				break loop
-			}
-			if ev.err == nil {
-				res.Outputs[ev.pid] = ev.output
-			}
-			if c.cfg.StopWhen != nil && c.cfg.StopWhen(res.Outputs) {
-				break loop
-			}
-		}
-	}
-
-	close(c.stop)
-	wg.Wait()
-	// Collect outputs from processes that finished during shutdown.
-	for {
-		select {
-		case ev := <-c.events:
-			if ev.kind == evDone && ev.err == nil {
-				res.Outputs[ev.pid] = ev.output
-			}
-		default:
-			res.Rounds = c.rt.round
-			return res, runErr
-		}
-	}
-}
-
-// deliver completes one round: it routes the pending messages through the
-// shared router and releases the waiting processes.
-func (c *coordinator) deliver(res *Result) error {
-	out, err := c.rt.route(c.state, c.pending, res)
-	if err != nil {
-		return err
-	}
-	for pid, s := range c.state {
-		if s != stateWaiting {
-			continue
-		}
-		c.state[pid] = stateRunning
-		c.inbox[pid] <- out[pid]
-	}
-	return nil
+	return t.run.sendAndReceive(t, msg)
 }

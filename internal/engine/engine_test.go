@@ -3,6 +3,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sort"
 	"testing"
 
@@ -312,4 +313,122 @@ func TestZeroProcesses(t *testing.T) {
 	if res.Rounds != 0 || len(res.Outputs) != 0 {
 		t.Fatalf("unexpected result %+v", res)
 	}
+}
+
+// quietProc sends a constant small int (boxed allocation-free by the
+// runtime's small-int cache) and discards everything it receives, so any
+// allocation measured during its rounds belongs to the runner, not the
+// protocol.
+func quietProc(rounds int) Coroutine {
+	return CoroutineFunc(func(tr *Transport) (any, error) {
+		for i := 0; i < rounds; i++ {
+			if _, err := tr.SendAndReceive(7); err != nil {
+				return nil, err
+			}
+		}
+		return nil, nil
+	})
+}
+
+// TestSchedulerSteadyStateAllocs gates per-round allocations: once the
+// router's double-buffered delivery backings have grown to the round's
+// working set, additional rounds must be allocation-free. The gate is the
+// *difference* between a long and a short run, so per-run setup (runner,
+// coroutines) cancels out.
+func TestSchedulerSteadyStateAllocs(t *testing.T) {
+	const extra = 100
+	measure := func(rounds int) float64 {
+		return testing.AllocsPerRun(5, func() {
+			procs := make([]Coroutine, 8)
+			for pid := range procs {
+				procs[pid] = quietProc(rounds)
+			}
+			cfg := Config{Schedule: dynnet.NewStatic(dynnet.Complete(8)), MaxRounds: rounds + 1}
+			if _, err := Run(cfg, procs); err != nil {
+				t.Error(err)
+			}
+		})
+	}
+	short := measure(10)
+	long := measure(10 + extra)
+	if perRound := (long - short) / extra; perRound > 0.5 {
+		t.Errorf("%.2f allocs per steady-state round (short=%.0f long=%.0f), want ~0",
+			perRound, short, long)
+	}
+}
+
+// TestProcessPanicReturnsPanicError pins panic containment: a process that
+// panics mid-run, before its first round, or while being unwound fails the
+// run with a *PanicError carrying its pid, the completed rounds and the
+// panic value, the partial Result comes back, and no goroutine outlives the
+// run.
+func TestProcessPanicReturnsPanicError(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	forever := CoroutineFunc(func(tr *Transport) (any, error) {
+		for {
+			if _, err := tr.SendAndReceive(nil); err != nil {
+				return nil, err
+			}
+		}
+	})
+	panicAt := func(round int) Coroutine {
+		return CoroutineFunc(func(tr *Transport) (any, error) {
+			for tr.Round() < round {
+				if _, err := tr.SendAndReceive(nil); err != nil {
+					return nil, err
+				}
+			}
+			panic("boom")
+		})
+	}
+	twoRounds := CoroutineFunc(func(tr *Transport) (any, error) {
+		for tr.Round() < 2 {
+			if _, err := tr.SendAndReceive(nil); err != nil {
+				return nil, err
+			}
+		}
+		return "done", nil
+	})
+	panicOnStop := CoroutineFunc(func(tr *Transport) (any, error) {
+		for {
+			if _, err := tr.SendAndReceive(nil); err != nil {
+				panic(err)
+			}
+		}
+	})
+	cases := []struct {
+		name             string
+		procs            []Coroutine
+		pid, rounds      int
+		value            any
+		stopWhenProcess0 bool
+	}{
+		{name: "mid-run", procs: []Coroutine{forever, forever, panicAt(3), forever}, pid: 2, rounds: 3, value: "boom"},
+		{name: "first-resume", procs: []Coroutine{forever, panicAt(0), forever, forever}, pid: 1, rounds: 0, value: "boom"},
+		{name: "unwind", procs: []Coroutine{twoRounds, panicOnStop, forever, forever}, pid: 1, rounds: 2,
+			value: ErrStopped, stopWhenProcess0: true},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			for i := 0; i < 5; i++ {
+				cfg := Config{Schedule: dynnet.NewStatic(dynnet.Complete(4)), MaxRounds: 100}
+				if c.stopWhenProcess0 {
+					cfg.StopWhen = func(out map[int]any) bool { _, ok := out[0]; return ok }
+				}
+				res, err := Run(cfg, c.procs)
+				var pe *PanicError
+				if !errors.As(err, &pe) {
+					t.Fatalf("err = %v, want *PanicError", err)
+				}
+				if pe.PID != c.pid || pe.Round != c.rounds || pe.Value != c.value || len(pe.Stack) == 0 {
+					t.Fatalf("PanicError{PID: %d, Round: %d, Value: %v, %d stack bytes}, want pid %d, round %d, value %v",
+						pe.PID, pe.Round, pe.Value, len(pe.Stack), c.pid, c.rounds, c.value)
+				}
+				if res == nil || res.Rounds != c.rounds {
+					t.Fatalf("partial result %+v, want %d rounds", res, c.rounds)
+				}
+			}
+		})
+	}
+	waitForGoroutines(t, baseline)
 }

@@ -10,19 +10,18 @@ import (
 	"anondyn/internal/dynnet"
 )
 
-// The scheduler equivalence contract (DESIGN.md §6): all three schedulers
-// — and the RunSteppers fast path — must produce byte-identical Results
-// (Rounds, Outputs, MaxMessageBits, TotalMessages, TotalBits) and
-// identical Trace streams for any deterministic protocol, because they
-// share the routing core and differ only in how control moves between the
-// processes and the round barrier.
-
-// schedulers lists the three coroutine schedulers under test.
-var schedulers = []Scheduler{SchedulerSequential, SchedulerConcurrent, SchedulerParallel}
+// The runner equivalence contract: the coroutine runner (Run) and the
+// zero-synchronization lock-step witness (RunSteppers,
+// stepper_witness_test.go) must produce byte-identical Results (Rounds,
+// Outputs, MaxMessageBits, TotalMessages, TotalBits) and identical Trace
+// streams for the same deterministic protocol, because they share the
+// routing core and differ only in how control moves between the processes
+// and the round barrier.
 
 // mixedProc is a deterministic protocol with per-process lifetimes: process
-// pid runs base+pid%3 rounds, sends pid*1000+round, and returns the sorted
-// multiset checksum of everything it received.
+// pid runs base+pid%3 rounds, sends pid*1000+round, and returns the ordered
+// checksum of everything it received. mixedSteppers is the same protocol as
+// state machines.
 func mixedProc(pid, base int) Coroutine {
 	return CoroutineFunc(func(t *Transport) (any, error) {
 		rounds := base + pid%3
@@ -74,43 +73,63 @@ func captureTrace() (*[]string, func(round int, sent []Message)) {
 	}
 }
 
-// runUnder executes the mixed-lifetime protocol on n processes under the
-// given scheduler and returns the result and trace stream.
-func runUnder(t *testing.T, sched Scheduler, cfg Config, n, base int) (*Result, []string, error) {
+func mixedSteppers(n, base int) []Stepper {
+	st := make([]Stepper, n)
+	for pid := range st {
+		st[pid] = &countStepper{pid: pid, rounds: base + pid%3}
+	}
+	return st
+}
+
+// sizeMixed is the SizeOf both runs of an equivalence case bill with.
+func sizeMixed(m Message) int { return m.(int)%13 + 3 }
+
+// runBoth executes the mixed-lifetime protocol on n processes as coroutines
+// on Run and as steppers on the RunSteppers witness, and fails unless the
+// two runs are identical. It returns the coroutine run's result.
+func runBoth(t *testing.T, cfg func() Config, n, base int) *Result {
 	t.Helper()
+	wcfg := cfg()
+	wlog, whook := captureTrace()
+	wcfg.Trace, wcfg.SizeOf = whook, sizeMixed
+	want, werr := RunSteppers(wcfg, mixedSteppers(n, base))
+
+	rcfg := cfg()
 	log, hook := captureTrace()
-	cfg.Scheduler = sched
-	cfg.Trace = hook
-	cfg.SizeOf = func(m Message) int { return m.(int)%13 + 3 }
+	rcfg.Trace, rcfg.SizeOf = hook, sizeMixed
 	procs := make([]Coroutine, n)
 	for pid := range procs {
 		procs[pid] = mixedProc(pid, base)
 	}
-	res, err := Run(cfg, procs)
-	return res, *log, err
+	got, err := Run(rcfg, procs)
+	if err != nil || werr != nil {
+		t.Fatalf("Run: %v; RunSteppers: %v", err, werr)
+	}
+	assertSameRun(t, want, got, *wlog, *log)
+	return got
 }
 
-// assertSameRun fails unless the two runs are byte-identical in every
-// Result field and in their trace streams.
-func assertSameRun(t *testing.T, seqRes, conRes *Result, seqTrace, conTrace []string) {
+// assertSameRun fails unless the witness run and the runner's run are
+// byte-identical in every Result field and in their trace streams.
+func assertSameRun(t *testing.T, want, got *Result, wantTrace, gotTrace []string) {
 	t.Helper()
-	if seqRes.Rounds != conRes.Rounds {
-		t.Errorf("Rounds: sequential %d, concurrent %d", seqRes.Rounds, conRes.Rounds)
+	if want.Rounds != got.Rounds {
+		t.Errorf("Rounds: witness %d, runner %d", want.Rounds, got.Rounds)
 	}
-	if !reflect.DeepEqual(seqRes.Outputs, conRes.Outputs) {
-		t.Errorf("Outputs differ:\nsequential %v\nconcurrent %v", seqRes.Outputs, conRes.Outputs)
+	if !reflect.DeepEqual(want.Outputs, got.Outputs) {
+		t.Errorf("Outputs differ:\nwitness %v\nrunner  %v", want.Outputs, got.Outputs)
 	}
-	if seqRes.MaxMessageBits != conRes.MaxMessageBits {
-		t.Errorf("MaxMessageBits: sequential %d, concurrent %d", seqRes.MaxMessageBits, conRes.MaxMessageBits)
+	if want.MaxMessageBits != got.MaxMessageBits {
+		t.Errorf("MaxMessageBits: witness %d, runner %d", want.MaxMessageBits, got.MaxMessageBits)
 	}
-	if seqRes.TotalMessages != conRes.TotalMessages {
-		t.Errorf("TotalMessages: sequential %d, concurrent %d", seqRes.TotalMessages, conRes.TotalMessages)
+	if want.TotalMessages != got.TotalMessages {
+		t.Errorf("TotalMessages: witness %d, runner %d", want.TotalMessages, got.TotalMessages)
 	}
-	if seqRes.TotalBits != conRes.TotalBits {
-		t.Errorf("TotalBits: sequential %d, concurrent %d", seqRes.TotalBits, conRes.TotalBits)
+	if want.TotalBits != got.TotalBits {
+		t.Errorf("TotalBits: witness %d, runner %d", want.TotalBits, got.TotalBits)
 	}
-	if !reflect.DeepEqual(seqTrace, conTrace) {
-		t.Errorf("Trace streams differ:\nsequential %v\nconcurrent %v", seqTrace, conTrace)
+	if !reflect.DeepEqual(wantTrace, gotTrace) {
+		t.Errorf("Trace streams differ:\nwitness %v\nrunner  %v", wantTrace, gotTrace)
 	}
 }
 
@@ -139,22 +158,11 @@ func TestSchedulerEquivalence(t *testing.T) {
 			for _, fam := range families {
 				name := fmt.Sprintf("%s/n=%d/seed=%d", fam.name, n, seed)
 				t.Run(name, func(t *testing.T) {
-					base := 3 + int(seed)
-					cfg := fam.cfg()
-					cfg.MaxRounds = 100
-					seqRes, seqTrace, err := runUnder(t, SchedulerSequential, cfg, n, base)
-					if err != nil {
-						t.Fatalf("sequential: %v", err)
-					}
-					for _, sched := range schedulers[1:] {
-						cfg = fam.cfg()
+					runBoth(t, func() Config {
+						cfg := fam.cfg()
 						cfg.MaxRounds = 100
-						res, trace, err := runUnder(t, sched, cfg, n, base)
-						if err != nil {
-							t.Fatalf("%v: %v", sched, err)
-						}
-						assertSameRun(t, seqRes, res, seqTrace, trace)
-					}
+						return cfg
+					}, n, 3+int(seed))
 				})
 			}
 		}
@@ -163,129 +171,128 @@ func TestSchedulerEquivalence(t *testing.T) {
 
 // TestSchedulerEquivalenceStopWhen pins the StopWhen semantics: process 0
 // finishes after three rounds, the rest would run forever, and the run must
-// stop with exactly process 0's output under both schedulers.
+// stop with exactly process 0's output.
 func TestSchedulerEquivalenceStopWhen(t *testing.T) {
 	const n = 4
-	build := func() []Coroutine {
-		procs := make([]Coroutine, n)
-		procs[0] = echoProc(3)
-		for pid := 1; pid < n; pid++ {
-			procs[pid] = CoroutineFunc(func(tr *Transport) (any, error) {
-				for {
-					if _, err := tr.SendAndReceive(tr.PID()); err != nil {
-						return nil, err
-					}
-				}
-			})
+	build := func() []Stepper {
+		st := make([]Stepper, n)
+		for pid := range st {
+			st[pid] = &countStepper{pid: pid, rounds: 1 << 30}
 		}
-		return procs
+		st[0] = &countStepper{rounds: 3}
+		return st
 	}
-	type outcome struct {
-		res   *Result
-		trace []string
-	}
-	got := map[Scheduler]outcome{}
-	for _, sched := range schedulers {
-		log, hook := captureTrace()
-		res, err := Run(Config{
+	cfg := func(hook func(int, []Message)) Config {
+		return Config{
 			Schedule:  dynnet.NewStatic(dynnet.Complete(n)),
 			MaxRounds: 100,
-			Scheduler: sched,
 			Trace:     hook,
 			StopWhen:  func(out map[int]any) bool { _, ok := out[0]; return ok },
-		}, build())
-		if err != nil {
-			t.Fatalf("%v: %v", sched, err)
 		}
-		if len(res.Outputs) != 1 {
-			t.Fatalf("%v: outputs %v, want only process 0", sched, res.Outputs)
-		}
-		got[sched] = outcome{res: res, trace: *log}
 	}
-	seq := got[SchedulerSequential]
-	for _, sched := range schedulers[1:] {
-		other := got[sched]
-		assertSameRun(t, seq.res, other.res, seq.trace, other.trace)
+	wlog, whook := captureTrace()
+	want, err := RunSteppers(cfg(whook), build())
+	if err != nil {
+		t.Fatalf("RunSteppers: %v", err)
 	}
+	log, hook := captureTrace()
+	got, err := Run(cfg(hook), fromSteppers(build()))
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if len(got.Outputs) != 1 || got.Rounds != 3 {
+		t.Fatalf("outputs %v after %d rounds, want only process 0 after 3", got.Outputs, got.Rounds)
+	}
+	assertSameRun(t, want, got, *wlog, *log)
 }
+
+// limitStepper sends 8-bit messages forever, except that process 1 sends
+// 100 bits in round 4.
+type limitStepper struct{ pid, step int }
+
+func (s *limitStepper) Compose() Message {
+	if s.pid == 1 && s.step == 3 {
+		return 100
+	}
+	return 8
+}
+func (s *limitStepper) Deliver([]Message) { s.step++ }
+func (s *limitStepper) Done() (any, bool) { return nil, false }
 
 // TestSchedulerEquivalenceBitLimit pins the BitLimit semantics: the first
-// violating (round, process, bits) is identical under both schedulers
-// because accounting happens in the shared router.
+// violating (round, process, bits) is the same on the runner and the
+// witness because accounting happens in the shared router.
 func TestSchedulerEquivalenceBitLimit(t *testing.T) {
 	const n = 3
-	var want *BitLimitError
-	for _, sched := range schedulers {
-		procs := make([]Coroutine, n)
-		for pid := range procs {
-			pid := pid
-			procs[pid] = CoroutineFunc(func(tr *Transport) (any, error) {
-				for r := 0; ; r++ {
-					// Process 1 blows the limit at round 4.
-					size := 8
-					if pid == 1 && r == 3 {
-						size = 100
-					}
-					if _, err := tr.SendAndReceive(size); err != nil {
-						return nil, err
-					}
-				}
-			})
+	build := func() []Stepper {
+		st := make([]Stepper, n)
+		for pid := range st {
+			st[pid] = &limitStepper{pid: pid}
 		}
-		_, err := Run(Config{
-			Schedule:  dynnet.NewStatic(dynnet.Cycle(n)),
-			MaxRounds: 100,
-			Scheduler: sched,
-			SizeOf:    func(m Message) int { return m.(int) },
-			BitLimit:  50,
-		}, procs)
-		var ble *BitLimitError
-		if !errors.As(err, &ble) {
-			t.Fatalf("%v: err=%v, want *BitLimitError", sched, err)
-		}
-		if want == nil {
-			want = ble
-			continue
-		}
-		if *ble != *want {
-			t.Errorf("BitLimitError differs: sequential %+v, concurrent %+v", want, ble)
-		}
+		return st
 	}
-	if want.Round != 4 || want.Process != 1 || want.Bits != 100 {
-		t.Errorf("unexpected violation %+v", want)
+	cfg := Config{
+		Schedule:  dynnet.NewStatic(dynnet.Cycle(n)),
+		MaxRounds: 100,
+		SizeOf:    func(m Message) int { return m.(int) },
+		BitLimit:  50,
+	}
+	var want, got *BitLimitError
+	if _, err := RunSteppers(cfg, build()); !errors.As(err, &want) {
+		t.Fatalf("RunSteppers: err=%v, want *BitLimitError", err)
+	}
+	if _, err := Run(cfg, fromSteppers(build())); !errors.As(err, &got) {
+		t.Fatalf("Run: err=%v, want *BitLimitError", err)
+	}
+	if *got != *want {
+		t.Errorf("BitLimitError differs: witness %+v, runner %+v", want, got)
+	}
+	if got.Round != 4 || got.Process != 1 || got.Bits != 100 {
+		t.Errorf("unexpected violation %+v", got)
 	}
 }
 
-// TestSchedulerEquivalencePreCancelled pins the cancellation contract both
-// schedulers share: a context cancelled before the run starts fails with
-// context.Canceled and zero rounds.
+// TestSchedulerEquivalencePreCancelled pins the cancellation contract the
+// runner and the witness share: a context cancelled before the run starts
+// fails with context.Canceled and zero rounds.
 func TestSchedulerEquivalencePreCancelled(t *testing.T) {
-	for _, sched := range schedulers {
-		ctx, cancel := context.WithCancel(context.Background())
-		cancel()
-		procs := []Coroutine{echoProc(3), echoProc(3)}
-		res, err := RunContext(ctx, Config{
-			Schedule:  dynnet.NewStatic(dynnet.Path(2)),
-			MaxRounds: 10,
-			Scheduler: sched,
-		}, procs)
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("%v: err=%v, want context.Canceled", sched, err)
-		}
-		if res.Rounds != 0 || len(res.Outputs) != 0 {
-			t.Fatalf("%v: partial result %+v, want empty", sched, res)
-		}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	cfg := Config{Schedule: dynnet.NewStatic(dynnet.Path(2)), MaxRounds: 10}
+	res, err := RunContext(ctx, cfg, []Coroutine{echoProc(3), echoProc(3)})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("Run: err=%v, want context.Canceled", err)
+	}
+	if res.Rounds != 0 || len(res.Outputs) != 0 {
+		t.Fatalf("Run: partial result %+v, want empty", res)
+	}
+	res, err = RunSteppersContext(ctx, cfg, mixedSteppers(2, 3))
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("RunSteppers: err=%v, want context.Canceled", err)
+	}
+	if res.Rounds != 0 || len(res.Outputs) != 0 {
+		t.Fatalf("RunSteppers: partial result %+v, want empty", res)
 	}
 }
 
-// countStepper is a deterministic state machine: it broadcasts pid*100+step
-// for `rounds` steps, then outputs a checksum of everything received.
+// fromSteppers wraps each stepper with FromStepper.
+func fromSteppers(st []Stepper) []Coroutine {
+	procs := make([]Coroutine, len(st))
+	for pid := range procs {
+		procs[pid] = FromStepper(st[pid])
+	}
+	return procs
+}
+
+// countStepper is a deterministic state machine: it broadcasts
+// pid*1000+step for `rounds` steps, then outputs a checksum of everything
+// received.
 type countStepper struct {
 	pid, rounds, step int
 	sum               int
 }
 
-func (c *countStepper) Compose() Message { return c.pid*100 + c.step }
+func (c *countStepper) Compose() Message { return c.pid*1000 + c.step }
 
 func (c *countStepper) Deliver(msgs []Message) {
 	for _, m := range msgs {
@@ -301,48 +308,30 @@ func (c *countStepper) Done() (any, bool) {
 	return nil, false
 }
 
-// TestStepperPathsEquivalent runs the same stepper protocol on all three
-// execution paths — RunSteppers, and FromStepper on each coroutine
-// scheduler — and asserts identical results and traces.
+// TestStepperPathsEquivalent runs the same stepper protocol through
+// FromStepper on Run and on the RunSteppers witness and asserts identical
+// results and traces.
 func TestStepperPathsEquivalent(t *testing.T) {
 	const n = 6
-	cfg := func(hook func(int, []Message), sched Scheduler) Config {
+	cfg := func(hook func(int, []Message)) Config {
 		return Config{
 			Schedule:  dynnet.NewRandomConnected(n, 0.4, 3),
 			MaxRounds: 50,
-			Scheduler: sched,
-			SizeOf:    func(m Message) int { return m.(int)%13 + 3 },
+			SizeOf:    sizeMixed,
 			Trace:     hook,
 		}
 	}
-	build := func() []Stepper {
-		st := make([]Stepper, n)
-		for pid := range st {
-			st[pid] = &countStepper{pid: pid, rounds: 4 + pid%3}
-		}
-		return st
-	}
-
-	log, hook := captureTrace()
-	want, err := RunSteppers(cfg(hook, SchedulerSequential), build())
+	wlog, whook := captureTrace()
+	want, err := RunSteppers(cfg(whook), mixedSteppers(n, 4))
 	if err != nil {
 		t.Fatalf("RunSteppers: %v", err)
 	}
-	wantTrace := *log
-
-	for _, sched := range schedulers {
-		log, hook := captureTrace()
-		steppers := build()
-		procs := make([]Coroutine, n)
-		for pid := range procs {
-			procs[pid] = FromStepper(steppers[pid])
-		}
-		got, err := Run(cfg(hook, sched), procs)
-		if err != nil {
-			t.Fatalf("FromStepper on %v: %v", sched, err)
-		}
-		assertSameRun(t, want, got, wantTrace, *log)
+	log, hook := captureTrace()
+	got, err := Run(cfg(hook), fromSteppers(mixedSteppers(n, 4)))
+	if err != nil {
+		t.Fatalf("FromStepper on Run: %v", err)
 	}
+	assertSameRun(t, want, got, *wlog, *log)
 }
 
 // TestRunSteppersCancellation checks the RunSteppers cancellation contract:

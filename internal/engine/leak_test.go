@@ -10,22 +10,22 @@ import (
 	"anondyn/internal/dynnet"
 )
 
-// TestNoGoroutineLeaks verifies that Run waits for every process goroutine
-// before returning — under normal completion, early stop, and round-budget
-// cancellation alike, and on both schedulers.
+// TestNoGoroutineLeaks verifies that Run releases every process coroutine
+// before returning — under normal completion, early stop, round-budget and
+// context cancellation alike.
 func TestNoGoroutineLeaks(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 
 	runs := []struct {
 		name string
-		do   func(sched Scheduler) error
+		do   func() error
 	}{
-		{name: "normal", do: func(sched Scheduler) error {
-			_, err := Run(Config{Schedule: dynnet.NewStatic(dynnet.Cycle(4)), MaxRounds: 10, Scheduler: sched},
+		{name: "normal", do: func() error {
+			_, err := Run(Config{Schedule: dynnet.NewStatic(dynnet.Cycle(4)), MaxRounds: 10},
 				[]Coroutine{echoProc(3), echoProc(3), echoProc(3), echoProc(3)})
 			return err
 		}},
-		{name: "stop-when", do: func(sched Scheduler) error {
+		{name: "stop-when", do: func() error {
 			forever := CoroutineFunc(func(tr *Transport) (any, error) {
 				for {
 					if _, err := tr.SendAndReceive(nil); err != nil {
@@ -44,12 +44,11 @@ func TestNoGoroutineLeaks(t *testing.T) {
 			_, err := Run(Config{
 				Schedule:  dynnet.NewStatic(dynnet.Path(3)),
 				MaxRounds: 100,
-				Scheduler: sched,
 				StopWhen:  func(out map[int]any) bool { _, ok := out[0]; return ok },
 			}, []Coroutine{twoRounds, forever, forever})
 			return err
 		}},
-		{name: "max-rounds", do: func(sched Scheduler) error {
+		{name: "max-rounds", do: func() error {
 			forever := CoroutineFunc(func(tr *Transport) (any, error) {
 				for {
 					if _, err := tr.SendAndReceive(nil); err != nil {
@@ -57,14 +56,14 @@ func TestNoGoroutineLeaks(t *testing.T) {
 					}
 				}
 			})
-			_, err := Run(Config{Schedule: dynnet.NewStatic(dynnet.Path(2)), MaxRounds: 3, Scheduler: sched},
+			_, err := Run(Config{Schedule: dynnet.NewStatic(dynnet.Path(2)), MaxRounds: 3},
 				[]Coroutine{forever, forever})
 			if err == nil {
 				return nil
 			}
 			return nil // ErrMaxRounds expected
 		}},
-		{name: "context-cancel-pre-cancelled", do: func(sched Scheduler) error {
+		{name: "context-cancel-pre-cancelled", do: func() error {
 			forever := CoroutineFunc(func(tr *Transport) (any, error) {
 				for {
 					if _, err := tr.SendAndReceive(nil); err != nil {
@@ -74,19 +73,19 @@ func TestNoGoroutineLeaks(t *testing.T) {
 			})
 			ctx, cancel := context.WithCancel(context.Background())
 			cancel()
-			_, err := RunContext(ctx, Config{Schedule: dynnet.NewStatic(dynnet.Path(3)), MaxRounds: 1 << 20, Scheduler: sched},
+			_, err := RunContext(ctx, Config{Schedule: dynnet.NewStatic(dynnet.Path(3)), MaxRounds: 1 << 20},
 				[]Coroutine{forever, forever, forever})
 			if !errors.Is(err, context.Canceled) {
 				return err
 			}
 			return nil
 		}},
-		{name: "context-cancel-mid-round", do: func(sched Scheduler) error {
+		{name: "context-cancel-mid-round", do: func() error {
 			// One process stalls before submitting its round-4 message, so
-			// the coordinator is parked waiting for submissions when the
-			// cancellation lands — the cancel path must release both the
-			// submitted processes (blocked on the round barrier) and, once
-			// the straggler wakes, the straggler itself.
+			// the runner is blocked inside it when the cancellation lands —
+			// the cancel path must release both the submitted processes
+			// (parked on the round barrier) and, once the straggler wakes,
+			// the straggler itself.
 			release := make(chan struct{})
 			straggler := CoroutineFunc(func(tr *Transport) (any, error) {
 				for {
@@ -108,7 +107,7 @@ func TestNoGoroutineLeaks(t *testing.T) {
 			ctx, cancel := context.WithCancel(context.Background())
 			done := make(chan error, 1)
 			go func() {
-				_, err := RunContext(ctx, Config{Schedule: dynnet.NewStatic(dynnet.Cycle(3)), MaxRounds: 1 << 20, Scheduler: sched},
+				_, err := RunContext(ctx, Config{Schedule: dynnet.NewStatic(dynnet.Cycle(3)), MaxRounds: 1 << 20},
 					[]Coroutine{straggler, forever, forever})
 				done <- err
 			}()
@@ -122,17 +121,20 @@ func TestNoGoroutineLeaks(t *testing.T) {
 			return nil
 		}},
 	}
-	for _, sched := range schedulers {
-		for _, r := range runs {
-			for i := 0; i < 5; i++ {
-				if err := r.do(sched); err != nil {
-					t.Fatalf("%s under %v: %v", r.name, sched, err)
-				}
+	for _, r := range runs {
+		for i := 0; i < 5; i++ {
+			if err := r.do(); err != nil {
+				t.Fatalf("%s: %v", r.name, err)
 			}
 		}
 	}
+	waitForGoroutines(t, baseline)
+}
 
-	// Let any stragglers finish, then compare.
+// waitForGoroutines fails the test unless the goroutine count settles back
+// to within two of baseline (runtime and testing stragglers) in time.
+func waitForGoroutines(t *testing.T, baseline int) {
+	t.Helper()
 	deadline := time.Now().Add(2 * time.Second)
 	for time.Now().Before(deadline) {
 		if runtime.NumGoroutine() <= baseline+2 {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"iter"
+	"runtime/debug"
 )
 
 // seqDone records a returned process: its output, its error, and the fact
@@ -29,10 +30,10 @@ const (
 	stepStop
 )
 
-// seqRunner is the sequential direct-execution scheduler. Each process runs
-// as a pull coroutine (iter.Pull): the runner resumes it with a direct
-// coroutine switch, the process runs until its next SendAndReceive submission
-// and switches straight back. The switch is the runtime's coroutine handoff —
+// seqRunner is the engine's round runner. Each process runs as a pull
+// coroutine (iter.Pull): the runner resumes it with a direct coroutine
+// switch, the process runs until its next SendAndReceive submission and
+// switches straight back. The switch is the runtime's coroutine handoff —
 // no channel, no scheduler queueing, no goroutine ready/park transitions — so
 // the per-round cost is the protocol's own work plus the shared routing;
 // profiling the counting simulation showed the former channel-based handoff
@@ -75,9 +76,9 @@ type seqRunner struct {
 	runErr error
 }
 
-// sendAndReceive is Transport.SendAndReceive under the sequential scheduler:
-// record the submission, switch control back to the runner, and continue
-// once the runner has filled the inbox slot and resumed this process.
+// sendAndReceive is Transport.SendAndReceive: record the submission, switch
+// control back to the runner, and continue once the runner has filled the
+// inbox slot and resumed this process.
 func (s *seqRunner) sendAndReceive(t *Transport, msg Message) ([]Message, error) {
 	if s.stopping {
 		return nil, ErrStopped
@@ -94,11 +95,19 @@ func (s *seqRunner) sendAndReceive(t *Transport, msg Message) ([]Message, error)
 
 // startProc creates the pull coroutine for one process. The body captures
 // its yield function before running the protocol, so sendAndReceive can
-// switch back to the runner.
+// switch back to the runner. Every resume and stop switch runs the process
+// inside this body, so its recover turns a panic anywhere in the protocol
+// into a *PanicError result instead of a crash in the runner's goroutine.
 func (s *seqRunner) startProc(pid int, proc Coroutine) {
-	tr := &Transport{pid: pid, seq: s}
+	tr := &Transport{pid: pid, run: s}
 	s.next[pid], s.stop[pid] = iter.Pull(func(yield func(struct{}) bool) {
 		s.yield[pid] = yield
+		defer func() {
+			if v := recover(); v != nil {
+				pe := &PanicError{PID: pid, Round: s.rt.round, Value: v, Stack: debug.Stack()}
+				s.done[pid] = seqDone{err: pe, finished: true}
+			}
+		}()
 		out, err := proc.Run(tr)
 		s.done[pid] = seqDone{output: out, err: err, finished: true}
 	})
@@ -200,8 +209,8 @@ func (s *seqRunner) run(procs []Coroutine) (*Result, error) {
 // unwind releases every parked process with a stop switch, which runs its
 // coroutine to completion synchronously; coroutines must return promptly on
 // ErrStopped. Outputs produced during the unwind (a process that completed
-// rather than propagate ErrStopped) are still collected, mirroring the
-// concurrent coordinator's shutdown drain.
+// rather than propagate ErrStopped) are still collected, and a panic during
+// the unwind is reported unless the run already failed.
 func (s *seqRunner) unwind(res *Result) {
 	s.stopping = true
 	for pid := range s.state {
@@ -211,8 +220,13 @@ func (s *seqRunner) unwind(res *Result) {
 		s.state[pid] = stateDone
 		s.alive--
 		s.stop[pid]()
-		if d := s.done[pid]; d.finished && d.err == nil {
+		d := s.done[pid]
+		var pe *PanicError
+		switch {
+		case d.finished && d.err == nil:
 			res.Outputs[pid] = d.output
+		case errors.As(d.err, &pe) && s.runErr == nil:
+			s.runErr = fmt.Errorf("engine: process %d: %w", pid, pe)
 		}
 	}
 }

@@ -1,21 +1,12 @@
 package engine
 
-import (
-	"context"
-	"fmt"
-)
-
 // Stepper is the event-driven alternative to Coroutine: a process expressed
 // as an explicit state machine. The engine calls Compose to obtain the
 // message for the current round, delivers the round's received multiset via
 // Deliver, and stops the process once Done reports an output.
 //
 // Steppers are convenient for simple protocols (the baselines in
-// internal/baseline). They run fastest on RunSteppers — a plain
-// function-call round loop with zero synchronization — and can also be
-// wrapped into a Coroutine via FromStepper to run on either coroutine
-// scheduler; all paths share the routing core, so the results are
-// identical.
+// internal/baseline) and run on the engine through FromStepper.
 type Stepper interface {
 	// Compose returns the message to broadcast in the current round.
 	Compose() Message
@@ -43,95 +34,4 @@ func FromStepper(s Stepper) Coroutine {
 			s.Deliver(msgs)
 		}
 	})
-}
-
-// RunSteppers executes one Stepper per process in a direct function-call
-// round loop: Done → Compose → route → Deliver, with zero synchronization
-// — no goroutines, channels, or selects anywhere on the path. It is the
-// fastest way to run state-machine protocols; the round semantics
-// (barriers, delivery order, accounting, StopWhen, MaxRounds, BitLimit,
-// Trace) are identical to running FromStepper(s) on either coroutine
-// scheduler. Config.Scheduler is ignored.
-func RunSteppers(cfg Config, steppers []Stepper) (*Result, error) {
-	return RunSteppersContext(context.Background(), cfg, steppers)
-}
-
-// RunSteppersContext is RunSteppers with external cancellation, observed at
-// round boundaries: when ctx is cancelled the loop stops before the next
-// round and returns the partial Result alongside an error wrapping ctx's
-// cause.
-func RunSteppersContext(ctx context.Context, cfg Config, steppers []Stepper) (*Result, error) {
-	n, err := cfg.validate(len(steppers))
-	if err != nil {
-		return nil, err
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-
-	rt := newRouter(&cfg, n)
-	wd := newWatchdog(cfg.Deadline)
-	state := make([]procState, n)
-	pending := make([]Message, n)
-	res := &Result{Outputs: make(map[int]any)}
-	alive := n
-	for pid := range steppers {
-		state[pid] = stateRunning
-	}
-
-	for {
-		if err := ctx.Err(); err != nil {
-			res.Rounds = rt.round
-			return res, fmt.Errorf("engine: run cancelled: %w", context.Cause(ctx))
-		}
-		if err := wd.check(rt.round); err != nil {
-			res.Rounds = rt.round
-			return res, err
-		}
-		// Done is checked before every round (the FromStepper contract), so
-		// a stepper that is done immediately never communicates.
-		for pid, st := range steppers {
-			if state[pid] == stateDone {
-				continue
-			}
-			if out, done := st.Done(); done {
-				state[pid] = stateDone
-				alive--
-				res.Outputs[pid] = out
-				if cfg.StopWhen != nil && cfg.StopWhen(res.Outputs) {
-					res.Rounds = rt.round
-					return res, nil
-				}
-			}
-		}
-		if alive == 0 {
-			break
-		}
-		for pid, st := range steppers {
-			if state[pid] != stateDone {
-				state[pid] = stateWaiting
-				pending[pid] = st.Compose()
-			}
-		}
-		out, err := rt.route(state, pending, res)
-		if err != nil {
-			res.Rounds = rt.round
-			return res, err
-		}
-		for pid, st := range steppers {
-			if state[pid] == stateWaiting {
-				state[pid] = stateRunning
-				st.Deliver(out[pid])
-			}
-		}
-		if cfg.StopWhen != nil && cfg.StopWhen(res.Outputs) {
-			break
-		}
-		if rt.round >= cfg.MaxRounds {
-			res.Rounds = rt.round
-			return res, ErrMaxRounds
-		}
-	}
-	res.Rounds = rt.round
-	return res, nil
 }

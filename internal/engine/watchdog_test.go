@@ -27,32 +27,29 @@ func (spinStepper) Compose() Message  { return 0 }
 func (spinStepper) Deliver([]Message) {}
 func (spinStepper) Done() (any, bool) { return nil, false }
 
-func TestWatchdogFiresOnAllCoroutineSchedulers(t *testing.T) {
-	for _, sched := range []Scheduler{SchedulerSequential, SchedulerConcurrent, SchedulerParallel} {
-		cfg := Config{
-			Schedule:  dynnet.NewStatic(dynnet.Complete(3)),
-			MaxRounds: 1 << 30,
-			Deadline:  50 * time.Millisecond,
-			Scheduler: sched,
-		}
-		start := time.Now()
-		_, err := Run(cfg, []Coroutine{spinner(), spinner(), spinner()})
-		if !errors.Is(err, ErrWatchdog) {
-			t.Fatalf("scheduler %v: got %v, want ErrWatchdog", sched, err)
-		}
-		var wderr *WatchdogError
-		if !errors.As(err, &wderr) {
-			t.Fatalf("scheduler %v: error %v is not a *WatchdogError", sched, err)
-		}
-		if wderr.Limit != cfg.Deadline {
-			t.Fatalf("scheduler %v: reported limit %v, want %v", sched, wderr.Limit, cfg.Deadline)
-		}
-		if wderr.Rounds <= 0 {
-			t.Fatalf("scheduler %v: watchdog fired after %d rounds", sched, wderr.Rounds)
-		}
-		if elapsed := time.Since(start); elapsed > 5*time.Second {
-			t.Fatalf("scheduler %v: watchdog took %v to stop the run", sched, elapsed)
-		}
+func TestWatchdogFiresOnCoroutineRunner(t *testing.T) {
+	cfg := Config{
+		Schedule:  dynnet.NewStatic(dynnet.Complete(3)),
+		MaxRounds: 1 << 30,
+		Deadline:  50 * time.Millisecond,
+	}
+	start := time.Now()
+	_, err := Run(cfg, []Coroutine{spinner(), spinner(), spinner()})
+	if !errors.Is(err, ErrWatchdog) {
+		t.Fatalf("got %v, want ErrWatchdog", err)
+	}
+	var wderr *WatchdogError
+	if !errors.As(err, &wderr) {
+		t.Fatalf("error %v is not a *WatchdogError", err)
+	}
+	if wderr.Limit != cfg.Deadline {
+		t.Fatalf("reported limit %v, want %v", wderr.Limit, cfg.Deadline)
+	}
+	if wderr.Rounds <= 0 {
+		t.Fatalf("watchdog fired after %d rounds", wderr.Rounds)
+	}
+	if elapsed := time.Since(start); elapsed > 5*time.Second {
+		t.Fatalf("watchdog took %v to stop the run", elapsed)
 	}
 }
 

@@ -6,14 +6,21 @@ import (
 
 	"anondyn/internal/core"
 	"anondyn/internal/dynnet"
-	"anondyn/internal/engine"
 	"anondyn/internal/faults"
 	"anondyn/internal/historytree"
 )
 
+// privateVHT is the execution-strategy axis of the fault-matrix tests:
+// index 0 runs with cross-process shared VHTs (the default), index 1 with
+// a private VHT per process (core.Config.PrivateVHT). Neither may change
+// an outcome. The index is the sched=N (scheduler=N) part of the subtest
+// names, which this axis has carried since it enumerated the engine's
+// schedulers.
+var privateVHT = []bool{false, true}
+
 // TestMatrixFaultArithmeticEquivalence layers the solver's witness
 // discipline over the PR 5 fault matrix: every in-model fault plan, in
-// leader and leaderless mode, under both engine schedulers, must produce
+// leader and leaderless mode, with shared and private VHTs, must produce
 // byte-identical protocol executions (same rounds, levels, resets, answer)
 // whether the counting solver runs the multi-modular backend or the
 // big.Int exactness witness. The backends may differ only in the modular
@@ -29,28 +36,27 @@ func TestMatrixFaultArithmeticEquivalence(t *testing.T) {
 	n := 5
 	for _, T := range []int{1, 4} {
 		for _, spec := range plans {
-			for _, sched := range []engine.Scheduler{engine.SchedulerSequential, engine.SchedulerConcurrent} {
+			for v, private := range privateVHT {
 				for _, leaderless := range []bool{false, true} {
 					mode := "leader"
 					if leaderless {
 						mode = "leaderless"
 					}
-					t.Run(fmt.Sprintf("%s/T=%d/sched=%d/%s", mode, T, sched, spec), func(t *testing.T) {
+					t.Run(fmt.Sprintf("%s/T=%d/sched=%d/%s", mode, T, v, spec), func(t *testing.T) {
 						runWith := func(a historytree.Arith) *core.RunResult {
 							plan, err := faults.Parse(spec, T, 7)
 							if err != nil {
 								t.Fatal(err)
 							}
 							inner := dynnet.NewRandomConnected(n, 0.5, int64(T)*101+3)
-							cfg := core.Config{Mode: core.ModeLeader, BlockT: T, MaxLevels: 3*n + 8, Arithmetic: a}
+							cfg := core.Config{Mode: core.ModeLeader, BlockT: T, MaxLevels: 3*n + 8, Arithmetic: a, PrivateVHT: private}
 							inputs := leaderIn(n)
 							if leaderless {
 								cfg.Mode = core.ModeLeaderless
 								cfg.DiamBound = n * T
 								inputs = valueIn(n)
 							}
-							res, err := core.Run(wrapT(t, inner, plan, T), inputs, cfg,
-								core.RunOptions{Scheduler: sched})
+							res, err := core.Run(wrapT(t, inner, plan, T), inputs, cfg, core.RunOptions{})
 							if err != nil {
 								t.Fatalf("arith=%v: %v", a, err)
 							}

@@ -177,7 +177,8 @@ func TestPinnedSpikePlanForcesReset(t *testing.T) {
 // TestOutOfModelFaultsFailDetectably is the watchdog contract: under
 // out-of-model faults the run may never produce an answer, but it must
 // terminate with a structured *engine.WatchdogError within the deadline —
-// no hangs, no stuck goroutines (this test runs under -race in CI).
+// no hangs, no stuck goroutines (this test runs under -race in CI). Each
+// case runs with shared and with private VHTs (privateVHT).
 func TestOutOfModelFaultsFailDetectably(t *testing.T) {
 	cases := []struct {
 		name string
@@ -194,9 +195,9 @@ func TestOutOfModelFaultsFailDetectably(t *testing.T) {
 		{name: "leader-crashed-forever", spec: "crash:0:3:0"},
 	}
 	n := 5
-	for _, sched := range []engine.Scheduler{engine.SchedulerSequential, engine.SchedulerConcurrent} {
+	for v, private := range privateVHT {
 		for _, tc := range cases {
-			t.Run(fmt.Sprintf("%s/scheduler=%d", tc.name, sched), func(t *testing.T) {
+			t.Run(fmt.Sprintf("%s/scheduler=%d", tc.name, v), func(t *testing.T) {
 				plan, err := faults.Parse(tc.spec, 1, 9)
 				if err != nil {
 					t.Fatal(err)
@@ -204,11 +205,10 @@ func TestOutOfModelFaultsFailDetectably(t *testing.T) {
 				if plan.InModel() {
 					t.Fatalf("plan %q must be out-of-model", tc.spec)
 				}
-				cfg := core.Config{Mode: core.ModeLeader, SimultaneousHalt: tc.halt}
+				cfg := core.Config{Mode: core.ModeLeader, SimultaneousHalt: tc.halt, PrivateVHT: private}
 				opts := core.RunOptions{
 					Deadline:  100 * time.Millisecond,
 					MaxRounds: 1 << 30, // the watchdog, not the round cap, must end the run
-					Scheduler: sched,
 				}
 				start := time.Now()
 				_, err = core.Run(plan.Wrap(dynnet.NewRandomConnected(n, 0.5, 4)), leaderIn(n), cfg, opts)

@@ -8,7 +8,6 @@ import (
 	"anondyn/internal/check"
 	"anondyn/internal/core"
 	"anondyn/internal/dynnet"
-	"anondyn/internal/engine"
 	"anondyn/internal/faults"
 	"anondyn/internal/historytree"
 	"anondyn/internal/linear"
@@ -22,11 +21,6 @@ import (
 // bit accounting flows through wire.SizeOf, so every subtest also logs the
 // measured rounds-vs-bits tradeoff the E17 experiment tabulates.
 
-// schedulers is the engine matrix every equivalence case runs under.
-var schedulers = []engine.Scheduler{
-	engine.SchedulerSequential, engine.SchedulerParallel, engine.SchedulerConcurrent,
-}
-
 // inModelPlans is the PR 5 in-model fault matrix, verbatim from
 // internal/faults/integration_test.go.
 var inModelPlans = []string{
@@ -35,6 +29,19 @@ var inModelPlans = []string{
 	"storm:1:0:3",
 	"burst:1:0",
 	"spike:4:16,storm:1:0:2",
+}
+
+// congestedVariants are the congested protocol's execution strategies,
+// none of which may change an answer: 0 is the default (processes with
+// identical views share one VHT, counts come from the incremental
+// solver), 1 gives every process a private VHT (PrivateVHT), and 2
+// recounts each level from scratch (FromScratchCount). The index is the
+// sched=N part of the subtest names, which this axis has carried since
+// it enumerated the engine's schedulers.
+var congestedVariants = []func(*core.Config){
+	func(*core.Config) {},
+	func(c *core.Config) { c.PrivateVHT = true },
+	func(c *core.Config) { c.FromScratchCount = true },
 }
 
 // faultedSchedule rebuilds the matrix schedule for one (plan, T) cell:
@@ -58,19 +65,21 @@ func faultedSchedule(t *testing.T, n int, spec string, T int) dynnet.Schedule {
 	return plan.Wrap(base)
 }
 
-// runCongested executes the congested protocol with the invariant checker
-// attached and fully verified.
+// runCongested executes the congested protocol under one of the
+// congestedVariants with the invariant checker attached and fully
+// verified.
 func runCongested(t *testing.T, s dynnet.Schedule, inputs []historytree.Input,
-	mode core.Mode, T int, sched engine.Scheduler) *core.RunResult {
+	mode core.Mode, T, variant int) *core.RunResult {
 	t.Helper()
 	n := len(inputs)
 	cfg := core.Config{Mode: mode, BlockT: T, MaxLevels: 3*n + 8}
 	if mode == core.ModeLeaderless {
 		cfg.DiamBound = n * T
 	}
+	congestedVariants[variant](&cfg)
 	checker := check.New(inputs)
 	checker.Attach(&cfg)
-	res, err := core.Run(s, inputs, cfg, core.RunOptions{Scheduler: sched})
+	res, err := core.Run(s, inputs, cfg, core.RunOptions{})
 	if err != nil {
 		t.Fatalf("congested run: %v", err)
 	}
@@ -83,14 +92,14 @@ func runCongested(t *testing.T, s dynnet.Schedule, inputs []historytree.Input,
 // runLinear executes the linear protocol and verifies its answer against
 // ground truth.
 func runLinear(t *testing.T, s dynnet.Schedule, inputs []historytree.Input,
-	mode core.Mode, T int, sched engine.Scheduler) *core.RunResult {
+	mode core.Mode, T int) *core.RunResult {
 	t.Helper()
 	n := len(inputs)
 	cfg := linear.Config{Mode: mode, BlockT: T, MaxLevels: 3*n + 8}
 	if mode == core.ModeLeaderless {
 		cfg.DiamBound = n * T
 	}
-	res, err := linear.Run(s, inputs, cfg, core.RunOptions{Scheduler: sched})
+	res, err := linear.Run(s, inputs, cfg, core.RunOptions{})
 	if err != nil {
 		t.Fatalf("linear run: %v", err)
 	}
@@ -149,25 +158,25 @@ func assertBitAccounting(t *testing.T, congested, lin *core.RunResult) {
 
 // TestProtocolEquivalenceFaultMatrix is the headline differential suite:
 // on every schedule of the PR 5 in-model fault matrix — leader and
-// leaderless, T ∈ {1, 2, 4, 8}, every fault family, all three engine
-// schedulers — both protocols must return the identical answer, each
+// leaderless, T ∈ {1, 2, 4, 8}, every fault family, every congested
+// variant — both protocols must return the identical answer, each
 // independently verified against ground truth.
 func TestProtocolEquivalenceFaultMatrix(t *testing.T) {
 	n := 5
-	for _, sched := range schedulers {
+	for v := range congestedVariants {
 		for _, T := range []int{1, 2, 4, 8} {
 			for _, spec := range inModelPlans {
-				t.Run(fmt.Sprintf("leader/sched=%d/T=%d/%s", sched, T, spec), func(t *testing.T) {
+				t.Run(fmt.Sprintf("leader/sched=%d/T=%d/%s", v, T, spec), func(t *testing.T) {
 					inputs := leaderIn(n)
-					congested := runCongested(t, faultedSchedule(t, n, spec, T), inputs, core.ModeLeader, T, sched)
-					lin := runLinear(t, faultedSchedule(t, n, spec, T), inputs, core.ModeLeader, T, sched)
+					congested := runCongested(t, faultedSchedule(t, n, spec, T), inputs, core.ModeLeader, T, v)
+					lin := runLinear(t, faultedSchedule(t, n, spec, T), inputs, core.ModeLeader, T)
 					assertSameAnswer(t, congested, lin)
 					assertBitAccounting(t, congested, lin)
 				})
-				t.Run(fmt.Sprintf("leaderless/sched=%d/T=%d/%s", sched, T, spec), func(t *testing.T) {
+				t.Run(fmt.Sprintf("leaderless/sched=%d/T=%d/%s", v, T, spec), func(t *testing.T) {
 					inputs := valueIn(n)
-					congested := runCongested(t, faultedSchedule(t, n, spec, T), inputs, core.ModeLeaderless, T, sched)
-					lin := runLinear(t, faultedSchedule(t, n, spec, T), inputs, core.ModeLeaderless, T, sched)
+					congested := runCongested(t, faultedSchedule(t, n, spec, T), inputs, core.ModeLeaderless, T, v)
+					lin := runLinear(t, faultedSchedule(t, n, spec, T), inputs, core.ModeLeaderless, T)
 					assertSameAnswer(t, congested, lin)
 					assertBitAccounting(t, congested, lin)
 				})
@@ -203,7 +212,7 @@ func TestProtocolEquivalenceGeneralized(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	lin := runLinear(t, mkSched(), inputs, core.ModeLeader, 1, engine.SchedulerSequential)
+	lin := runLinear(t, mkSched(), inputs, core.ModeLeader, 1)
 	assertSameAnswer(t, congested, lin)
 	if lin.Multiset[historytree.Input{Value: 2}] != 3 {
 		t.Fatalf("linear multiset: %v", lin.Multiset)
@@ -215,20 +224,21 @@ func TestProtocolEquivalenceGeneralized(t *testing.T) {
 // ground-truth oracle rejects. A clean run with a verified answer returns
 // false — the silent-corruption case the suite exists to rule out.
 func failsDetectably(t *testing.T, protocol string, s dynnet.Schedule,
-	inputs []historytree.Input, sched engine.Scheduler) (bool, string) {
+	inputs []historytree.Input, variant int) (bool, string) {
 	t.Helper()
 	n := len(inputs)
 	opts := core.RunOptions{
 		Deadline:  100 * time.Millisecond,
 		MaxRounds: 1 << 30, // the watchdog or the oracle must end it, not the round cap
-		Scheduler: sched,
 	}
 	var res *core.RunResult
 	var err error
 	if protocol == "linear" {
 		res, err = linear.Run(s, inputs, linear.Config{Mode: core.ModeLeader, MaxLevels: 3*n + 8}, opts)
 	} else {
-		res, err = core.Run(s, inputs, core.Config{Mode: core.ModeLeader, MaxLevels: 3*n + 8}, opts)
+		cfg := core.Config{Mode: core.ModeLeader, MaxLevels: 3*n + 8}
+		congestedVariants[variant](&cfg)
+		res, err = core.Run(s, inputs, cfg, opts)
 	}
 	if err != nil {
 		return true, fmt.Sprintf("structured error: %v", err)
@@ -243,14 +253,17 @@ func failsDetectably(t *testing.T, protocol string, s dynnet.Schedule,
 // cases on both protocols: neither may return a silently wrong answer.
 // Total message loss makes the anonymous leader count only itself (caught
 // by the oracle) under both protocols; a forever-crashed leader wedges
-// the run until the watchdog or the level guard ends it.
+// the run until the watchdog or the level guard ends it. The congested
+// protocol runs with shared and with private VHTs (congestedVariants 0
+// and 1); the linear protocol has one execution strategy.
 func TestProtocolsFailDetectablyOutOfModel(t *testing.T) {
 	n := 5
 	cases := []string{"drop:1:0:1", "crash:0:3:0"}
-	for _, sched := range []engine.Scheduler{engine.SchedulerSequential, engine.SchedulerConcurrent} {
-		for _, spec := range cases {
-			for _, protocol := range []string{"congested", "linear"} {
-				t.Run(fmt.Sprintf("%s/%s/sched=%d", protocol, spec, sched), func(t *testing.T) {
+	variants := map[string][]int{"congested": {0, 1}, "linear": {0}}
+	for _, spec := range cases {
+		for _, protocol := range []string{"congested", "linear"} {
+			for _, v := range variants[protocol] {
+				t.Run(fmt.Sprintf("%s/%s/sched=%d", protocol, spec, v), func(t *testing.T) {
 					plan, err := faults.Parse(spec, 1, 9)
 					if err != nil {
 						t.Fatal(err)
@@ -259,7 +272,7 @@ func TestProtocolsFailDetectablyOutOfModel(t *testing.T) {
 						t.Fatalf("plan %q must be out-of-model", spec)
 					}
 					s := plan.Wrap(dynnet.NewRandomConnected(n, 0.5, 4))
-					detected, how := failsDetectably(t, protocol, s, leaderIn(n), sched)
+					detected, how := failsDetectably(t, protocol, s, leaderIn(n), v)
 					if !detected {
 						t.Fatalf("%s returned a verified answer under out-of-model plan %q", protocol, spec)
 					}

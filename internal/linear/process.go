@@ -34,8 +34,8 @@ type redRef struct {
 // classes obtain the same ID, which is exactly the "merge equivalent view
 // nodes" step of the full-information protocol — realized without
 // re-encoding entire subtrees into every message. ID assignment order
-// depends on scheduler interleaving, so nothing observable may depend on
-// the numeric IDs: message sizes follow the canonical, content-ordered
+// depends on the order processes run in, so nothing observable may depend
+// on the numeric IDs: message sizes follow the canonical, content-ordered
 // serialization instead (see viewSizer). The interner also lends the
 // sizers their position scratch, so scratch is held per running sizer,
 // not per process.

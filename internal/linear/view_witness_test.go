@@ -40,62 +40,55 @@ func witnessMsg(t *testing.T, infos []classInfo, m *viewMsg) int {
 }
 
 // TestLinearViewSizeWitness runs the protocol over an in-model fault
-// plan in both modes, every block length and every scheduler, and checks
-// every sent message against the witness. n=12 grows views past 128
-// classes, so 2-byte positions are billed too.
+// plan in both modes and every block length on the engine's sequential
+// runner, and checks every sent message against the witness. n=12 grows
+// views past 128 classes, so 2-byte positions are billed too.
 func TestLinearViewSizeWitness(t *testing.T) {
 	const n = 12
 	const spec = "spike:4:16,storm:1:0:2"
 	maxClasses := 0
 	modes := map[string]core.Mode{"leader": core.ModeLeader, "leaderless": core.ModeLeaderless}
-	scheds := map[string]engine.Scheduler{
-		"sequential": engine.SchedulerSequential,
-		"parallel":   engine.SchedulerParallel,
-		"concurrent": engine.SchedulerConcurrent,
-	}
 	for modeName, mode := range modes {
 		for _, T := range []int{1, 2, 4, 8} {
-			for schedName, sched := range scheds {
-				t.Run(fmt.Sprintf("%s/T=%d/%s", modeName, T, schedName), func(t *testing.T) {
-					plan, err := faults.Parse(spec, T, 7)
-					if err != nil {
+			t.Run(fmt.Sprintf("%s/T=%d/sequential", modeName, T), func(t *testing.T) {
+				plan, err := faults.Parse(spec, T, 7)
+				if err != nil {
+					t.Fatal(err)
+				}
+				base := dynnet.Schedule(dynnet.NewRandomConnected(n, 0.5, int64(T)*101+3))
+				if T > 1 {
+					if base, err = dynnet.NewUnionConnected(base, T); err != nil {
 						t.Fatal(err)
 					}
-					base := dynnet.Schedule(dynnet.NewRandomConnected(n, 0.5, int64(T)*101+3))
-					if T > 1 {
-						if base, err = dynnet.NewUnionConnected(base, T); err != nil {
-							t.Fatal(err)
+				}
+				inputs := make([]historytree.Input, n)
+				cfg := Config{Mode: mode, BlockT: T, MaxLevels: 3*n + 8}
+				if mode == core.ModeLeader {
+					inputs[0].Leader = true
+				} else {
+					for i := range inputs {
+						inputs[i].Value = int64(i % 3)
+					}
+					cfg.DiamBound = n * T
+				}
+				itn := newInterner()
+				msgs := 0
+				opts := core.RunOptions{Trace: func(_ int, sent []engine.Message) {
+					infos := itn.snapshot()
+					for _, raw := range sent {
+						if m, ok := raw.(*viewMsg); ok {
+							maxClasses = max(maxClasses, witnessMsg(t, infos, m))
+							msgs++
 						}
 					}
-					inputs := make([]historytree.Input, n)
-					cfg := Config{Mode: mode, BlockT: T, MaxLevels: 3*n + 8}
-					if mode == core.ModeLeader {
-						inputs[0].Leader = true
-					} else {
-						for i := range inputs {
-							inputs[i].Value = int64(i % 3)
-						}
-						cfg.DiamBound = n * T
-					}
-					itn := newInterner()
-					msgs := 0
-					opts := core.RunOptions{Scheduler: sched, Trace: func(_ int, sent []engine.Message) {
-						infos := itn.snapshot()
-						for _, raw := range sent {
-							if m, ok := raw.(*viewMsg); ok {
-								maxClasses = max(maxClasses, witnessMsg(t, infos, m))
-								msgs++
-							}
-						}
-					}}
-					if _, err := run(itn, plan.Wrap(base), inputs, cfg, opts); err != nil {
-						t.Fatal(err)
-					}
-					if msgs == 0 {
-						t.Fatal("no messages checked")
-					}
-				})
-			}
+				}}
+				if _, err := run(itn, plan.Wrap(base), inputs, cfg, opts); err != nil {
+					t.Fatal(err)
+				}
+				if msgs == 0 {
+					t.Fatal("no messages checked")
+				}
+			})
 		}
 	}
 	if maxClasses <= 128 {
@@ -108,9 +101,9 @@ func TestLinearViewSizeWitness(t *testing.T) {
 // (parent position, red list); positions are the resulting indices.
 // Hash-consing makes the within-level keys unique, so the order — and
 // therefore the encoding and its size — depends only on the abstract
-// view, not on interner ID assignment order, which varies across
-// schedulers. It also returns the class IDs in that order. It is the
-// witness the incremental viewSizer is checked against.
+// view, not on interner ID assignment order. It also returns the class
+// IDs in that order. It is the witness the incremental viewSizer is
+// checked against.
 func buildView(infos []classInfo, ids []int32, self int32) (*wire.View, []int32) {
 	maxLevel := int32(0)
 	for _, id := range ids {

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"anondyn/internal/core"
 	"anondyn/internal/engine"
 	"anondyn/internal/store"
 )
@@ -57,7 +58,8 @@ type Job struct {
 	// without simulating.
 	CacheHit bool
 
-	rounds atomic.Int64 // rounds completed so far (progress gauge)
+	rounds  atomic.Int64 // rounds completed so far (progress gauge)
+	metrics *Metrics     // counts the terminal transition
 
 	mu     sync.Mutex
 	state  JobState
@@ -146,30 +148,45 @@ func (j *Job) setState(s JobState) {
 	j.publishLocked(Event{Type: "state", State: s})
 }
 
-// finish transitions the job to a terminal state, records the outcome, and
-// releases waiters and subscribers. It is a no-op if the job already
-// terminated (e.g. cancelled while the worker was finishing).
-func (j *Job) finish(s JobState, r *Result, errMsg string) bool {
+// finish transitions the job to a terminal state, records the outcome,
+// counts it in the manager's metrics, and only then releases waiters and
+// subscribers, so a caller woken by Done reads counters that include this
+// job. A failure whose err is a watchdog expiry also counts as deadlined.
+// It is a no-op if the job already terminated (e.g. cancelled while the
+// worker was finishing).
+func (j *Job) finish(s JobState, r *Result, err error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.finishLocked(s, r, errMsg)
+	j.finishLocked(s, r, err)
 }
 
-func (j *Job) finishLocked(s JobState, r *Result, errMsg string) bool {
+func (j *Job) finishLocked(s JobState, r *Result, err error) {
 	if j.state.Terminal() {
-		return false
+		return
 	}
 	j.state = s
 	j.result = r
-	j.err = errMsg
+	if err != nil {
+		j.err = err.Error()
+	}
 	j.cancel = nil
-	j.publishLocked(Event{Type: "state", State: s, Error: errMsg})
+	switch s {
+	case JobDone:
+		j.metrics.JobsCompleted.Add(1)
+	case JobCancelled:
+		j.metrics.JobsCancelled.Add(1)
+	case JobFailed:
+		j.metrics.JobsFailed.Add(1)
+		if errors.Is(err, engine.ErrWatchdog) {
+			j.metrics.JobsDeadlined.Add(1)
+		}
+	}
+	j.publishLocked(Event{Type: "state", State: s, Error: j.err})
 	for id, ch := range j.subs {
 		delete(j.subs, id)
 		close(ch)
 	}
 	close(j.done)
-	return true
 }
 
 // traceHook adapts the engine's trace callback into progress events.
@@ -201,6 +218,9 @@ var (
 type Manager struct {
 	Metrics *Metrics
 
+	// run executes a job's spec; tests substitute faulty protocols.
+	run func(JobSpec, context.Context, func(int, []engine.Message)) (*core.RunResult, error)
+
 	cache      *Cache
 	store      *store.Store // second cache tier; nil without persistence
 	queue      chan *Job
@@ -226,6 +246,7 @@ func NewManager(workers, cacheCap, queueCap int) *Manager {
 	ctx, cancel := context.WithCancel(context.Background())
 	m := &Manager{
 		Metrics:    &Metrics{},
+		run:        JobSpec.Run,
 		cache:      NewCache(cacheCap),
 		queue:      make(chan *Job, queueCap),
 		baseCtx:    ctx,
@@ -312,12 +333,13 @@ func (m *Manager) Submit(spec JobSpec) (*Job, error) {
 	}
 	m.seq++
 	job := &Job{
-		ID:    fmt.Sprintf("job-%06d", m.seq),
-		Spec:  spec,
-		Hash:  hash,
-		state: JobQueued,
-		done:  make(chan struct{}),
-		subs:  make(map[int]chan Event),
+		ID:      fmt.Sprintf("job-%06d", m.seq),
+		Spec:    spec,
+		Hash:    hash,
+		metrics: m.Metrics,
+		state:   JobQueued,
+		done:    make(chan struct{}),
+		subs:    make(map[int]chan Event),
 	}
 	m.Metrics.JobsAccepted.Add(1)
 
@@ -332,10 +354,9 @@ func (m *Manager) Submit(spec JobSpec) (*Job, error) {
 	}
 	if hit {
 		m.Metrics.CacheHits.Add(1)
-		m.Metrics.JobsCompleted.Add(1)
 		job.CacheHit = true
 		job.rounds.Store(int64(r.Stats.Rounds))
-		job.finish(JobDone, r, "")
+		job.finish(JobDone, r, nil)
 		m.jobs[job.ID] = job
 		return job, nil
 	}
@@ -400,11 +421,8 @@ func (m *Manager) Cancel(id string) error {
 	default:
 		// Still queued: terminate in place, holding the lock so the worker
 		// cannot concurrently flip the job to running.
-		cancelled := job.finishLocked(JobCancelled, nil, "cancelled before start")
+		job.finishLocked(JobCancelled, nil, errors.New("cancelled before start"))
 		job.mu.Unlock()
-		if cancelled {
-			m.Metrics.JobsCancelled.Add(1)
-		}
 		return nil
 	}
 }
@@ -434,7 +452,7 @@ func (m *Manager) runJob(job *Job) {
 	job.mu.Unlock()
 
 	m.Metrics.WorkersBusy.Add(1)
-	res, err := job.Spec.Run(ctx, job.traceHook())
+	res, err := m.run(job.Spec, ctx, job.traceHook())
 	m.Metrics.WorkersBusy.Add(-1)
 	m.Metrics.RoundsSimulated.Add(job.rounds.Load())
 
@@ -449,26 +467,14 @@ func (m *Manager) runJob(job *Job) {
 		r := NewResult(res)
 		m.cache.Put(job.Hash, r)
 		m.storeWrite(job.Hash, r)
-		if job.finish(JobDone, r, "") {
-			m.Metrics.JobsCompleted.Add(1)
-		}
+		job.finish(JobDone, r, nil)
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-		if job.finish(JobCancelled, nil, "cancelled") {
-			m.Metrics.JobsCancelled.Add(1)
-		}
-	case errors.Is(err, engine.ErrWatchdog):
-		// The job's own deadline fired: the spec's fault plan wedged the
-		// run. This is a structured failure (the spec promised an answer
-		// within DeadlineMS and the protocol could not deliver one), not a
-		// cancellation — the error text carries the rounds/limit detail.
-		if job.finish(JobFailed, nil, err.Error()) {
-			m.Metrics.JobsFailed.Add(1)
-			m.Metrics.JobsDeadlined.Add(1)
-		}
+		job.finish(JobCancelled, nil, errors.New("cancelled"))
 	default:
-		if job.finish(JobFailed, nil, err.Error()) {
-			m.Metrics.JobsFailed.Add(1)
-		}
+		// A watchdog expiry (the spec's fault plan wedged the run), a
+		// protocol error or a recovered process panic: a structured
+		// failure, not a cancellation — the error text carries the detail.
+		job.finish(JobFailed, nil, err)
 	}
 }
 

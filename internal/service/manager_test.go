@@ -5,6 +5,10 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"anondyn/internal/core"
+	"anondyn/internal/dynnet"
+	"anondyn/internal/engine"
 )
 
 // longSpec is a worst-case job (adaptive isolator, O(n³) rounds) that takes
@@ -198,5 +202,81 @@ func TestManagerWatchdogJobFailsStructured(t *testing.T) {
 	}
 	if st2.State != JobFailed {
 		t.Fatalf("resubmitted state %s, want failed", st2.State)
+	}
+}
+
+// TestManagerTerminalMetricsBeforeWaiters pins the ordering between the
+// outcome counters and job completion: a caller woken by WaitTerminal must
+// already see its job counted, on every one of many watchdog failures.
+func TestManagerTerminalMetricsBeforeWaiters(t *testing.T) {
+	m := NewManager(2, 8, 8)
+	defer func() { _ = m.Shutdown(contextWithTimeout(t, 30*time.Second)) }()
+
+	wedged := JobSpec{
+		N:          5,
+		Topology:   "complete",
+		Halt:       true,
+		Faults:     "drop:1:0:1",
+		DeadlineMS: 1,
+		MaxRounds:  1 << 30,
+	}
+	for i := int64(1); i <= 200; i++ {
+		job, err := m.Submit(wedged)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := WaitTerminal(job, 15*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.State != JobFailed {
+			t.Fatalf("job %d: state %s, want failed (error %q)", i, st.State, st.Error)
+		}
+		if failed, deadlined := m.Metrics.JobsFailed.Load(), m.Metrics.JobsDeadlined.Load(); failed != i || deadlined != i {
+			t.Fatalf("after job %d: jobsFailed=%d jobsDeadlined=%d, want %d each", i, failed, deadlined, i)
+		}
+	}
+}
+
+// TestManagerProcessPanicFailsJob: a protocol process that panics fails
+// its job with the engine's panic error instead of crashing the daemon,
+// and the manager keeps serving jobs afterwards.
+func TestManagerProcessPanicFailsJob(t *testing.T) {
+	m := NewManager(1, 8, 8)
+	defer func() { _ = m.Shutdown(contextWithTimeout(t, 30*time.Second)) }()
+
+	m.run = func(JobSpec, context.Context, func(int, []engine.Message)) (*core.RunResult, error) {
+		boom := engine.CoroutineFunc(func(tr *engine.Transport) (any, error) {
+			if _, err := tr.SendAndReceive(nil); err != nil {
+				return nil, err
+			}
+			panic("boom")
+		})
+		_, err := engine.Run(engine.Config{Schedule: dynnet.NewStatic(dynnet.Complete(2)), MaxRounds: 10},
+			[]engine.Coroutine{boom, boom})
+		return nil, err
+	}
+	job, err := m.Submit(quickSpec(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := WaitTerminal(job, 15*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.State != JobFailed || !strings.Contains(st.Error, "panic after 1 rounds: boom") {
+		t.Fatalf("state %s, error %q; want failed with the panic", st.State, st.Error)
+	}
+	if got := m.Metrics.JobsFailed.Load(); got != 1 {
+		t.Fatalf("jobsFailed=%d, want 1", got)
+	}
+
+	m.run = JobSpec.Run
+	job, err = m.Submit(quickSpec(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st, err := WaitTerminal(job, 15*time.Second); err != nil || st.State != JobDone {
+		t.Fatalf("follow-up job: state %s, err %v; want done", st.State, err)
 	}
 }

@@ -251,7 +251,8 @@ func TestServerEndToEnd(t *testing.T) {
 }
 
 // TestServerRejectsUnknownFields guards the API contract: a typo in a spec
-// field is an error, not a silently defaulted knob.
+// field, or a field the API no longer has (the removed "scheduler"), is an
+// error naming the field, not a silently defaulted knob.
 func TestServerRejectsUnknownFields(t *testing.T) {
 	srv, err := NewServer(ServerConfig{Workers: 1, CacheSize: 4, QueueSize: 4})
 	if err != nil {
@@ -263,13 +264,20 @@ func TestServerRejectsUnknownFields(t *testing.T) {
 		defer cancel()
 		_ = srv.Shutdown(ctx)
 	}()
-	resp, err := http.Post("http://"+srv.Addr()+"/v1/jobs", "application/json",
-		bytes.NewReader([]byte(`{"n":4,"topologyy":"path"}`)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("status %d, want 400", resp.StatusCode)
+	for field, body := range map[string]string{
+		"topologyy": `{"n":4,"topologyy":"path"}`,
+		"scheduler": `{"n":4,"scheduler":"parallel"}`,
+	} {
+		resp, err := http.Post("http://"+srv.Addr()+"/v1/jobs", "application/json",
+			bytes.NewReader([]byte(body)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var apiErr apiError
+		_ = json.NewDecoder(resp.Body).Decode(&apiErr)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(apiErr.Error, `"`+field+`"`) {
+			t.Fatalf("%s: status %d, error %q; want 400 naming the field", body, resp.StatusCode, apiErr.Error)
+		}
 	}
 }

@@ -49,8 +49,7 @@ type JobSpec struct {
 	// PODC 2023 congested protocol (internal/core, O(T·n³ log n) rounds,
 	// O(log n)-bit messages), "linear" for the FOCS 2022 full-information
 	// protocol (internal/linear, Θ(T·n) rounds, messages growing to
-	// Θ(n³ log n) bits). Unlike Scheduler or Arithmetic this is a
-	// semantic knob: answers agree (pinned by the cross-protocol
+	// Θ(n³ log n) bits). Unlike Arithmetic this is a semantic knob: answers agree (pinned by the cross-protocol
 	// equivalence suite) but rounds and bit accounting differ, so the
 	// spec hash keeps it. The congested-only extensions (halt, fine,
 	// batch, keepAll, eager, compact, privatevht, the isolator adversary)
@@ -83,14 +82,6 @@ type JobSpec struct {
 	Eager bool `json:"eager,omitempty"`
 	// MaxRounds caps the run; 0 derives the default O(T·n³ log n) budget.
 	MaxRounds int `json:"maxRounds,omitempty"`
-	// Scheduler selects the engine execution strategy: "" or "sequential"
-	// for the direct-execution default, "parallel" for the sharded
-	// round-parallel scheduler (same results, less wall clock on
-	// multi-core hosts), "concurrent" for the goroutine-per-process
-	// coordinator. All produce identical results (the spec hash treats
-	// them as the same simulation), so this is a performance/debugging
-	// knob, not a semantic one.
-	Scheduler string `json:"scheduler,omitempty"`
 	// CompactVHT enables history-level compaction: consumed VHT levels are
 	// released once the counting solver can never re-read them, keeping
 	// resident memory proportional to the active view instead of the whole
@@ -110,8 +101,8 @@ type JobSpec struct {
 	// "" or "modular" for the multi-modular residue/CRT default, "big"
 	// for the fraction-free big.Int eliminator kept as the exactness
 	// witness. Both backends produce identical results (pinned by the
-	// solver equivalence suite), so like Scheduler this is a
-	// performance/debugging knob the spec hash ignores.
+	// solver equivalence suite), so this is a performance/debugging knob
+	// the spec hash ignores.
 	Arithmetic string `json:"arithmetic,omitempty"`
 	// Faults is a fault-plan spec layered over the adversary (see
 	// internal/faults.Parse for the grammar, e.g. "spike:8:0"). Empty
@@ -148,9 +139,6 @@ func (s *JobSpec) Normalize() {
 	}
 	if len(s.Inputs) == 0 {
 		s.Inputs = nil
-	}
-	if s.Scheduler == "sequential" {
-		s.Scheduler = "" // the default, spelled out
 	}
 	if s.Arithmetic == "modular" {
 		s.Arithmetic = "" // the default, spelled out
@@ -216,9 +204,6 @@ func (s JobSpec) Validate() error {
 			return fmt.Errorf("the isolator adversary targets the congested protocol's leader; protocol linear unsupported")
 		}
 	}
-	if s.Scheduler != "" && s.Scheduler != "parallel" && s.Scheduler != "concurrent" {
-		return fmt.Errorf("unknown scheduler %q (have sequential, parallel, concurrent)", s.Scheduler)
-	}
 	if s.Arithmetic != "" && s.Arithmetic != "big" {
 		return fmt.Errorf("unknown arithmetic %q (have modular, big)", s.Arithmetic)
 	}
@@ -266,11 +251,9 @@ func (s JobSpec) Validate() error {
 // result-cache key.
 func (s JobSpec) Hash() string {
 	s.Normalize()
-	// All schedulers produce identical results (the engine's equivalence
-	// contract), so the choice must not fragment the result cache; the
-	// same holds for the arithmetic backends (the solver's equivalence
-	// contract) and for compaction (the core equivalence suite).
-	s.Scheduler = ""
+	// The arithmetic backends produce identical results (the solver's
+	// equivalence contract), so the choice must not fragment the result
+	// cache; the same holds for compaction (the core equivalence suite).
 	s.Arithmetic = ""
 	s.CompactVHT = false
 	s.PrivateVHT = false
@@ -399,12 +382,6 @@ func (s JobSpec) Run(ctx context.Context, traceHook func(round int, sent []engin
 		BitLimit:  s.BitLimit,
 		Deadline:  time.Duration(s.DeadlineMS) * time.Millisecond,
 		Trace:     traceHook,
-	}
-	switch s.Scheduler {
-	case "parallel":
-		opts.Scheduler = engine.SchedulerParallel
-	case "concurrent":
-		opts.Scheduler = engine.SchedulerConcurrent
 	}
 	var plan *faults.Plan
 	if s.Faults != "" {

@@ -17,7 +17,7 @@ import (
 )
 
 // Logger accumulates and writes the round log. All methods are safe for
-// concurrent use; the engine calls the hook from its coordinator goroutine.
+// concurrent use.
 type Logger struct {
 	mu sync.Mutex
 
