@@ -32,8 +32,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzMessageCodec$$' -fuzztime=$(FUZZTIME) ./internal/wire
 	$(GO) test -run='^$$' -fuzz='^FuzzRandomConnectedSchedule$$' -fuzztime=$(FUZZTIME) ./internal/dynnet
 	$(GO) test -run='^$$' -fuzz='^FuzzFaultPlan$$' -fuzztime=$(FUZZTIME) ./internal/faults
-	$(GO) test -run='^$$' -fuzz='^FuzzSolverArithmetic$$' -fuzztime=$(FUZZTIME) ./internal/historytree
-	$(GO) test -run='^$$' -fuzz='^FuzzBatchedRefine$$' -fuzztime=$(FUZZTIME) ./internal/historytree
+	$(GO) test -run='^$$' -fuzz='^FuzzSolverWitness$$' -fuzztime=$(FUZZTIME) ./internal/historytree
 	$(GO) test -run='^$$' -fuzz='^FuzzProtocolEquivalence$$' -fuzztime=$(FUZZTIME) ./internal/linear
 	$(GO) test -run='^$$' -fuzz='^FuzzViewSizer$$' -fuzztime=$(FUZZTIME) ./internal/linear
 
@@ -51,10 +50,10 @@ benchcmp:
 	$(GO) run ./cmd/benchreport -compare -old $(BASE) -new $(NEW)
 
 # Capture CPU + allocation pprof profiles of one suite entry (default:
-# the E2 counting run, the repo's end-to-end hot path — its profile now
-# lands in the batched refinement pass and the masked schedule
-# generator; see DESIGN.md decision 15). See README "Profiling" for how
-# to read the artifacts.
+# the E2 counting run, the repo's end-to-end hot path — its profile lands
+# in the schedule generator, routing and the per-process broadcast steps;
+# see ROADMAP.md item 1). See README "Profiling" for how to read the
+# artifacts.
 # Usage: make profile [BENCH=E2Count] [PROFDIR=profiles]
 BENCH ?= E2Count
 PROFDIR ?= profiles

@@ -63,7 +63,6 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		traceFlag  = fs.Bool("trace", false, "print a per-round protocol trace and summary")
 		compact    = fs.Bool("compact", false, "release consumed VHT levels (O(active view) memory; incompatible with faulty resets that rewind far)")
 		private    = fs.Bool("privatevht", false, "disable cross-process structural sharing (each process keeps its own VHT; ablation knob)")
-		arith      = fs.String("arith", "modular", "counting-solver arithmetic: modular (residue/CRT) or big (big.Int witness)")
 		faultsFlag = fs.String("faults", "", "fault plan layered over the adversary, e.g. spike:8:0 or cut:3:20,storm:1:0:2 (see internal/faults)")
 		faultSeed  = fs.Int64("faultseed", 0, "fault-plan RNG seed (only the drop fault consumes it)")
 		deadline   = fs.Int("deadline", 0, "watchdog deadline in milliseconds (0 = off; required for out-of-model fault plans)")
@@ -73,7 +72,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	}
 	spec, err := buildSpec(*n, *protocol, *topology, *density, *seed, *blockT,
 		*leaderless, *inputsFlag, *halt, *bitLimit, *fine, *batch, *keepAll, *eager,
-		*compact, *private, *arith, *faultsFlag, *faultSeed, *deadline)
+		*compact, *private, *faultsFlag, *faultSeed, *deadline)
 	if err != nil {
 		fmt.Fprintln(stderr, "cadn: invalid usage:", err)
 		return 2
@@ -90,7 +89,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 func buildSpec(n int, protocol, topology string, density float64, seed int64, blockT int,
 	leaderless bool, inputsFlag string, halt bool, bitLimit int,
 	fine bool, batch int, keepAll, eager bool,
-	compact, private bool, arith string, faultsSpec string, faultSeed int64, deadlineMS int) (service.JobSpec, error) {
+	compact, private bool, faultsSpec string, faultSeed int64, deadlineMS int) (service.JobSpec, error) {
 	spec := service.JobSpec{
 		N:          n,
 		Protocol:   protocol,
@@ -107,7 +106,6 @@ func buildSpec(n int, protocol, topology string, density float64, seed int64, bl
 		Eager:      eager,
 		CompactVHT: compact,
 		PrivateVHT: private,
-		Arithmetic: arith,
 		Faults:     faultsSpec,
 		FaultSeed:  faultSeed,
 		DeadlineMS: deadlineMS,
@@ -164,11 +162,6 @@ func run(spec service.JobSpec, showTree, traceOn bool, w io.Writer) error {
 		res.Stats.Rounds, res.Stats.Levels, res.Stats.Resets, res.Stats.FinalDiamEstimate)
 	fmt.Fprintf(w, "messages=%d maxMessageBits=%d totalBits=%d\n",
 		res.Stats.TotalMessages, res.Stats.MaxMessageBits, res.Stats.TotalBits)
-	if res.Stats.SolverPrimes > 0 {
-		fmt.Fprintf(w, "solver: calls=%d primes=%d crtRecons=%d evictions=%d witnessFalls=%d\n",
-			res.Stats.SolverCalls, res.Stats.SolverPrimes, res.Stats.SolverCRTRecons,
-			res.Stats.SolverEvictions, res.Stats.SolverWitnessFalls)
-	}
 	if res.Stats.CompactedLevels > 0 {
 		fmt.Fprintf(w, "compaction: levels=%d nodesFreed=%d resident=%d peakResident=%d\n",
 			res.Stats.CompactedLevels, res.Stats.CompactedNodes,

@@ -133,12 +133,11 @@ func TestValidateFlagCombinations(t *testing.T) {
 		bitLimit   int
 		fine       bool
 		batch      int
-		arith      string
 		faults     string
 		faultSeed  int64
 		deadlineMS int
 	}
-	ok := args{n: 4, protocol: "congested", topology: "random", density: 0.3, seed: 1, blockT: 1, arith: "modular"}
+	ok := args{n: 4, protocol: "congested", topology: "random", density: 0.3, seed: 1, blockT: 1}
 	tests := []struct {
 		name    string
 		mut     func(*args)
@@ -171,8 +170,6 @@ func TestValidateFlagCombinations(t *testing.T) {
 		{name: "isolator-with-T", mut: func(a *args) { a.topology = "isolator"; a.blockT = 3 }, wantErr: "isolator"},
 		{name: "inputs-count-mismatch", mut: func(a *args) { a.inputs = "1,2" }, wantErr: "input values"},
 		{name: "inputs-not-numeric", mut: func(a *args) { a.inputs = "a,b,c,d" }, wantErr: "-inputs value"},
-		{name: "unknown-arithmetic", mut: func(a *args) { a.arith = "float" }, wantErr: "unknown arithmetic"},
-		{name: "big-arithmetic-ok", mut: func(a *args) { a.arith = "big" }, wantErr: ""},
 		{name: "malformed-faults", mut: func(a *args) { a.faults = "spike:1" }, wantErr: "invalid fault plan"},
 		{name: "unknown-fault", mut: func(a *args) { a.faults = "meteor:1:0" }, wantErr: "unknown fault"},
 		{name: "crash-pid-out-of-range", mut: func(a *args) { a.faults = "crash:9:1:0"; a.deadlineMS = 100 },
@@ -190,7 +187,7 @@ func TestValidateFlagCombinations(t *testing.T) {
 			tt.mut(&a)
 			_, err := buildSpec(a.n, a.protocol, a.topology, a.density, a.seed, a.blockT,
 				a.leaderless, a.inputs, a.halt, a.bitLimit, a.fine, a.batch, false, false,
-				false, false, a.arith, a.faults, a.faultSeed, a.deadlineMS)
+				false, false, a.faults, a.faultSeed, a.deadlineMS)
 			if tt.wantErr == "" {
 				if err != nil {
 					t.Fatalf("unexpected error: %v", err)
@@ -237,7 +234,6 @@ input multiset:
   L:0: 1
 rounds=236 levels=2 resets=2 finalDiamEstimate=4
 messages=1180 maxMessageBits=32 totalBits=26280
-solver: calls=2 primes=2 crtRecons=1 evictions=0 witnessFalls=0
 sharing: applies=35 hits=131 forks=0
 `,
 		},
@@ -295,6 +291,7 @@ func TestExitCodes(t *testing.T) {
 		{name: "linear-halt", args: []string{"-n", "4", "-protocol", "linear", "-halt"}, want: 2},
 		{name: "linear-compact", args: []string{"-n", "4", "-protocol", "linear", "-compact"}, want: 2},
 		{name: "removed-scheduler-flag", args: []string{"-n", "4", "-scheduler", "sequential"}, want: 2},
+		{name: "removed-arith-flag", args: []string{"-n", "4", "-arith", "big"}, want: 2},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

@@ -29,27 +29,20 @@ type NamedBench struct {
 // code paths (root bench_test.go, internal/historytree, internal/engine).
 func PerfSuite() []NamedBench {
 	suite := []NamedBench{
-		// SolverFromScratch tracks the shipped default backend (modular
-		// since PR 7); SolverModular pins the modular backend explicitly so
-		// the entry keeps meaning the same thing if the default ever moves;
-		// SolverBig keeps the big.Int witness measured so every report
-		// shows the modular-vs-exact ratio (PR 4's SolverFromScratch was
-		// the big.Int path: 63.2 ms/op, 945k allocs/op).
-		{Name: "SolverFromScratch/n=16", Bench: solverBench(16, false, historytree.ArithModular)},
-		{Name: "SolverFromScratch/n=24", Bench: solverBench(24, false, historytree.ArithModular)},
-		{Name: "SolverModular/n=24", Bench: solverBench(24, false, historytree.ArithModular)},
-		{Name: "SolverBig/n=16", Bench: solverBench(16, false, historytree.ArithBig)},
-		{Name: "SolverIncremental/n=16", Bench: solverBench(16, true, historytree.ArithModular)},
-		{Name: "E2Count/n=12", Bench: e2Bench(12, false)},
+		// SolverBig times the from-scratch big.Rat Count (the name dates
+		// from when it was one of two arithmetics); SolverIncremental the
+		// persistent Solver over the same access pattern.
+		{Name: "SolverBig/n=16", Bench: solverBench(16, false)},
+		{Name: "SolverIncremental/n=16", Bench: solverBench(16, true)},
+		{Name: "E2Count/n=12", Bench: e2Bench(12)},
 		// The n=24 and n=48 points record how the history-tree/VHT layer
-		// scales, not just the E2 sweep's largest published point; n=48 is
-		// the scaling point the modular solver makes affordable.
-		{Name: "E2Count/n=24", Bench: e2Bench(24, false)},
-		{Name: "E2Count/n=48", Bench: e2Bench(48, false)},
+		// scales, not just the E2 sweep's largest published point.
+		{Name: "E2Count/n=24", Bench: e2Bench(24)},
+		{Name: "E2Count/n=48", Bench: e2Bench(48)},
 		// n=96 is the routine-scale target of the PR 8 runner/compaction
 		// work: one full counting run at double the previous largest point,
 		// kept in the suite so its cost curve is tracked like any other.
-		{Name: "E2Count/n=96", Bench: e2Bench(96, false)},
+		{Name: "E2Count/n=96", Bench: e2Bench(96)},
 		// The fault sweep records what in-model faults cost: the spike
 		// drives the error/reset machinery (more rounds, same answer), the
 		// storm multiplies delivered links (more per-round work). They
@@ -67,8 +60,8 @@ func PerfSuite() []NamedBench {
 		{Name: "LinearCount/n=24", Bench: linearBench(24)},
 		{Name: "LinearCount/n=48", Bench: linearBench(48)},
 		{Name: "LinearCount/n=96", Bench: linearBench(96)},
-		// n=192 is the PR 9 target: batched refinement plus cross-process
-		// structural sharing make one full counting run at this size a
+		// n=192 is the PR 9 target: cross-process structural sharing
+		// makes one full counting run at this size a
 		// routine suite entry. CompactVHT keeps its resident set bounded,
 		// as any run this large would in practice. It runs last: its
 		// 146 MB/op heap reshapes the GC pacing of whatever follows it in
@@ -109,9 +102,8 @@ func runEntries(suite []NamedBench, progress func(name string)) (PerfReport, err
 
 // solverBench replays the protocol's access pattern — re-solving after
 // every completed level of a prebuilt history tree — through either the
-// from-scratch solve or the persistent incremental Solver, under the
-// given arithmetic backend.
-func solverBench(n int, incremental bool, arith historytree.Arith) func(b *testing.B) {
+// from-scratch Count or the persistent incremental Solver.
+func solverBench(n int, incremental bool) func(b *testing.B) {
 	return func(b *testing.B) {
 		s := dynnet.NewRandomConnected(n, 0.3, 1)
 		inputs := make([]historytree.Input, n)
@@ -122,14 +114,14 @@ func solverBench(n int, incremental bool, arith historytree.Arith) func(b *testi
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			solver := historytree.NewSolverWith(arith)
+			solver := historytree.NewSolver()
 			for l := 0; l <= 3*n; l++ {
 				var res historytree.CountResult
 				var err error
 				if incremental {
 					res, err = solver.CountAt(run.Tree, l)
 				} else {
-					res, err = historytree.CountWith(run.Tree, l, arith)
+					res, err = historytree.Count(run.Tree, l)
 				}
 				if err != nil {
 					b.Fatal(err)
@@ -142,12 +134,11 @@ func solverBench(n int, incremental bool, arith historytree.Arith) func(b *testi
 	}
 }
 
-// e2Bench is one full counting run at E2's largest sweep point, with the
-// FromScratchCount ablation toggling the incremental solver.
-func e2Bench(n int, fromScratch bool) func(b *testing.B) {
+// e2Bench is one full counting run at E2's largest sweep point.
+func e2Bench(n int) func(b *testing.B) {
 	return func(b *testing.B) {
 		s := dynnet.NewRandomConnected(n, 0.3, 1)
-		cfg := core.Config{Mode: core.ModeLeader, MaxLevels: 3*n + 6, FromScratchCount: fromScratch}
+		cfg := core.Config{Mode: core.ModeLeader, MaxLevels: 3*n + 6}
 		for i := 0; i < b.N; i++ {
 			res, err := core.Run(s, leaderIn(n), cfg, core.RunOptions{})
 			if err != nil {

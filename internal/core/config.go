@@ -83,29 +83,15 @@ type Config struct {
 	// this many levels (0 = unlimited). Termination is guaranteed by the
 	// paper within 3n levels, so tests set this to catch divergence.
 	MaxLevels int
-	// Arithmetic selects the counting solver's exact-arithmetic backend.
-	// The zero value is historytree.ArithModular, the multi-modular
-	// residue/CRT backend; historytree.ArithBig selects the fraction-free
-	// big.Int eliminator, retained as the exactness witness (DESIGN.md
-	// decision 12). Both backends produce identical answers on every
-	// input; the knob exists for benchmarking and equivalence testing.
-	Arithmetic historytree.Arith
-	// FromScratchCount disables the incremental counting solver: the
-	// deciding process re-runs the from-scratch historytree.Count (or
-	// Frequencies) after every completed level, as the pre-optimization
-	// code did. It exists as an ablation for benchmarks, which measure the
-	// incremental speedup against it in the same binary.
-	FromScratchCount bool
 	// CompactVHT enables history-level compaction (DESIGN.md decision 14):
 	// once the counting solver has consumed a level's balance equations and
 	// the protocol has moved a safety lag past it, the process releases the
 	// level's node and edge storage via historytree.CompactLevels, keeping
 	// resident memory O(active view) instead of O(rounds). The incremental
-	// solver replays from its recorded skeleton, so answers are unchanged.
-	// Incompatible with FromScratchCount (the from-scratch solver walks
-	// parent chains into the released region). A reset that would rewind
-	// into compacted history aborts the process with a structured error; on
-	// fault-heavy schedules prefer leaving compaction off in leader mode.
+	// solver never re-reads a consumed level, so answers are unchanged. A
+	// reset that would rewind into compacted history aborts the process
+	// with a structured error; on fault-heavy schedules prefer leaving
+	// compaction off in leader mode.
 	CompactVHT bool
 	// PrivateVHT disables cross-process structural sharing (DESIGN.md
 	// decision 15): every process keeps its own VHT, temporary forest, and
@@ -157,9 +143,6 @@ func (c Config) Validate(inputs []historytree.Input) error {
 	if c.BatchSize < 0 {
 		return fmt.Errorf("core: negative BatchSize %d", c.BatchSize)
 	}
-	if c.CompactVHT && c.FromScratchCount {
-		return fmt.Errorf("core: CompactVHT requires the incremental solver (FromScratchCount re-reads released levels)")
-	}
 	return nil
 }
 
@@ -204,7 +187,6 @@ type Outcome struct {
 	// output.
 	FinalRound int
 	// Solver reports the counting solver's accumulated work (calls, levels
-	// consumed, rebuilds after resets, time inside the solver). In
-	// FromScratchCount runs only Calls and SolveTime are meaningful.
+	// consumed, rebuilds after resets, time inside the solver).
 	Solver historytree.SolverStats
 }

@@ -36,14 +36,10 @@ type RunStats struct {
 	// goes (see the perf appendix of EXPERIMENTS.md).
 	SolverTime  time.Duration
 	SolverCalls int
-	// Multi-modular backend counters of the deciding process's solver
-	// (all zero under Arithmetic: historytree.ArithBig): the battery size
-	// reached, CRT ray reconstructions, unlucky-prime evictions, and
-	// fallbacks to the big.Int exactness witness.
-	SolverPrimes       int
-	SolverCRTRecons    int
-	SolverEvictions    int
-	SolverWitnessFalls int
+	// SolverPrimes is always 0. It counted the prime battery of the
+	// multi-modular solver backend, which was removed; the field stays for
+	// readers that still report it.
+	SolverPrimes int
 	// Cross-process structural-sharing counters (all zero when sharing is
 	// off — PrivateVHT, single-process runs, FineGrainedReset):
 	// SharedApplies is the number of structural operations applied to the
@@ -251,10 +247,6 @@ func run(ecfg engine.Config, n int, inputs []historytree.Input, cfg Config, opts
 func (st *RunStats) absorbSolver(s historytree.SolverStats) {
 	st.SolverTime = s.SolveTime
 	st.SolverCalls = s.Calls
-	st.SolverPrimes = s.PrimesUsed
-	st.SolverCRTRecons = s.CRTReconstructions
-	st.SolverEvictions = s.UnluckyEvictions
-	st.SolverWitnessFalls = s.WitnessFallbacks
 }
 
 // absorbTree copies the deciding process's history-tree residency

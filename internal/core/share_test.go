@@ -79,8 +79,8 @@ func requireSameResult(t *testing.T, shared, private *RunResult) {
 }
 
 // TestSharedVHTEquivalence sweeps the configuration surface: modes,
-// extensions, arithmetic backends, compaction, and batching must all be
-// byte-equivalent between shared and private runs.
+// extensions, compaction, and batching must all be byte-equivalent
+// between shared and private runs.
 func TestSharedVHTEquivalence(t *testing.T) {
 	cases := []struct {
 		name       string
@@ -92,7 +92,6 @@ func TestSharedVHTEquivalence(t *testing.T) {
 		{"leader-inputs", Config{Mode: ModeLeader, BuildInputLevel: true}, 10, false},
 		{"leader-batch", Config{Mode: ModeLeader, BatchSize: 4}, 10, false},
 		{"leader-compact", Config{Mode: ModeLeader, CompactVHT: true}, 14, false},
-		{"leader-bigint", Config{Mode: ModeLeader, Arithmetic: historytree.ArithBig}, 9, false},
 		{"leader-halt", Config{Mode: ModeLeader, SimultaneousHalt: true}, 8, false},
 		{"leaderless", Config{Mode: ModeLeaderless}, 10, true},
 		{"leaderless-compact", Config{Mode: ModeLeaderless, CompactVHT: true}, 12, true},

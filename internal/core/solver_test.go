@@ -121,29 +121,3 @@ func TestSolverSurvivesProtocolResets(t *testing.T) {
 		t.Errorf("unexpected from-scratch fallbacks: %+v", st)
 	}
 }
-
-// TestFromScratchAblationMatches runs the same schedules with and without
-// the incremental solver; every protocol-visible quantity must agree.
-func TestFromScratchAblationMatches(t *testing.T) {
-	for _, seed := range []int64{1, 42, 77} {
-		n := 7
-		mk := func() dynnet.Schedule { return dynnet.NewRandomConnected(n, 0.4, seed) }
-		inc, err := Run(mk(), leaderInputs(n),
-			Config{Mode: ModeLeader, MaxLevels: 4 * n}, RunOptions{})
-		if err != nil {
-			t.Fatalf("seed %d incremental: %v", seed, err)
-		}
-		ref, err := Run(mk(), leaderInputs(n),
-			Config{Mode: ModeLeader, MaxLevels: 4 * n, FromScratchCount: true}, RunOptions{})
-		if err != nil {
-			t.Fatalf("seed %d from-scratch: %v", seed, err)
-		}
-		if inc.N != ref.N || inc.Stats.Rounds != ref.Stats.Rounds ||
-			inc.Stats.Levels != ref.Stats.Levels || inc.Stats.Resets != ref.Stats.Resets {
-			t.Errorf("seed %d: incremental %+v vs from-scratch %+v", seed, inc.Stats, ref.Stats)
-		}
-		if !historytree.Isomorphic(inc.VHT, ref.VHT) {
-			t.Errorf("seed %d: VHTs differ between solver modes", seed)
-		}
-	}
-}

@@ -28,15 +28,6 @@ type Run struct {
 // they were indistinguishable at round t and received equal multisets of
 // (class, multiplicity) messages.
 func Build(s dynnet.Schedule, inputs []Input, rounds int) (*Run, error) {
-	return buildWith(s, inputs, rounds, nil)
-}
-
-// refineFunc is one round of partition refinement. Build uses the batched
-// SoA pass (batch.go); tests pass the witness refiner's method to pin the
-// two byte-identical.
-type refineFunc func(t *Tree, g *dynnet.Multigraph, cur []*Node, nextID *int, card map[int]int) ([]*Node, error)
-
-func buildWith(s dynnet.Schedule, inputs []Input, rounds int, refine refineFunc) (*Run, error) {
 	n := s.N()
 	if len(inputs) != n {
 		return nil, fmt.Errorf("historytree: %d inputs for %d processes", len(inputs), n)
@@ -72,16 +63,14 @@ func buildWith(s dynnet.Schedule, inputs []Input, rounds int, refine refineFunc)
 	// slice is stored directly rather than copied.
 	run.NodeOf = append(run.NodeOf, cur)
 
-	if refine == nil {
-		refine = newBatchRefiner(n).refine
-	}
+	ref := newRefiner(n)
 	for round := 1; round <= rounds; round++ {
 		g := s.Graph(round)
 		if g.N() != n {
 			return nil, fmt.Errorf("historytree: schedule graph at round %d has %d processes, want %d",
 				round, g.N(), n)
 		}
-		next, err := refine(t, g, cur, &nextID, card)
+		next, err := ref.refine(t, g, cur, &nextID, card)
 		if err != nil {
 			return nil, err
 		}

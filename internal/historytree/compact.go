@@ -4,10 +4,9 @@ package historytree
 // ever reads a bounded window of its history tree: the protocol reads the
 // last level or two (setUpNewLevel, updateVHT), the answer extraction reads
 // level 0, and the incremental Solver consumes each level's balance
-// equations exactly once — recording what a future battery replay needs in
-// its own sparse skeleton (see Solver.replayInto). Once a level has been
-// consumed it can never be re-read from the tree, so its nodes are dead
-// weight: over a long leaderless run the tree retains O(rounds) nodes for
+// equations exactly once, lifting its elimination state onto each new
+// level instead of re-reading old ones. Once a level has been consumed it
+// is never re-read from the tree, so its nodes are dead weight: over a long leaderless run the tree retains O(rounds) nodes for
 // an O(active view) working set.
 //
 // CompactLevels releases that weight. It freezes levels 1..keepFrom-1:

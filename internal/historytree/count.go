@@ -344,21 +344,22 @@ func (s *solution) levelZeroWeights(t *Tree) map[*Node]*big.Rat {
 	return out
 }
 
-// prepSolution runs the shared prologue of solve and solveModular:
-// validation, the Resolvable gate, and (when resolvable) the ancestor
-// chains and pooled row scratch that fillRow needs.
-func prepSolution(t *Tree, completeLevels int) (sol *solution, k int, resolvable bool, err error) {
+// solve eliminates the balance system of the complete prefix
+// 0..completeLevels from scratch and returns the ray it pins, if any
+// (sol.known). A known solution still holds pooled scratch, which the
+// caller releases.
+func solve(t *Tree, completeLevels int) (*solution, error) {
 	if completeLevels < 0 || completeLevels > t.Depth() {
-		return nil, 0, false, fmt.Errorf("historytree: completeLevels %d out of range [0,%d]", completeLevels, t.Depth())
+		return nil, fmt.Errorf("historytree: completeLevels %d out of range [0,%d]", completeLevels, t.Depth())
 	}
 	leaves := t.Level(completeLevels)
-	k = len(leaves)
+	k := len(leaves)
 	if k == 0 {
-		return nil, 0, false, fmt.Errorf("historytree: empty level %d", completeLevels)
+		return nil, fmt.Errorf("historytree: empty level %d", completeLevels)
 	}
-	sol = &solution{leaves: leaves}
+	sol := &solution{leaves: leaves}
 	if !Resolvable(t, completeLevels) {
-		return sol, k, false, nil // trivially undetermined; skip elimination entirely
+		return sol, nil // trivially undetermined; skip elimination entirely
 	}
 	// Ancestor chains: O(k) pointer hops per level, in place of the old
 	// per-node k-length coefficient vectors (O(levels·k²) words).
@@ -374,14 +375,6 @@ func prepSolution(t *Tree, completeLevels int) (sol *solution, k int, resolvable
 	}
 	sol.cols = make([]map[*Node]cols, completeLevels+1)
 	sol.row = getVec(k)
-	return sol, k, true, nil
-}
-
-func solve(t *Tree, completeLevels int) (*solution, error) {
-	sol, k, resolvable, err := prepSolution(t, completeLevels)
-	if err != nil || !resolvable {
-		return sol, err
-	}
 
 	// Collect the homogeneous balance system and reduce it incrementally.
 	// On a well-formed history tree the truth is a nonzero null vector, so
@@ -432,6 +425,30 @@ collect:
 	return sol, nil
 }
 
+// orientPositive flips the ray to its positive orientation in place and
+// reports whether every entry is strictly positive afterwards — the
+// cardinality-vector check shared by Count and the incremental Solver.
+func orientPositive(ray []*big.Rat) bool {
+	sign := 0
+	for _, x := range ray {
+		if s := x.Sign(); s != 0 {
+			sign = s
+			break
+		}
+	}
+	if sign < 0 {
+		for _, x := range ray {
+			x.Neg(x)
+		}
+	}
+	for _, x := range ray {
+		if x.Sign() <= 0 {
+			return false
+		}
+	}
+	return true
+}
+
 // nodePair is an unordered pair of same-level nodes linked by at least one
 // red edge through the next level.
 type nodePair struct {
@@ -441,9 +458,9 @@ type nodePair struct {
 // balancePairs enumerates the distinct pairs {u, w} of level-l nodes, u≠w,
 // such that some child of one has a red edge from the other. Results are
 // memoized on the tree and invalidated by any structural mutation, so the
-// repeated enumerations of the solve paths (collect, battery replay,
-// verification, and replayed from-scratch calls on a quiescent tree) pay
-// for each level once. Callers must not retain the slice across mutations.
+// repeated enumerations of the solve paths (collect, verification, and
+// replayed from-scratch calls on a quiescent tree) pay for each level
+// once. Callers must not retain the slice across mutations.
 func balancePairs(t *Tree, l int) []nodePair {
 	if t.pairsMut != t.mut {
 		t.pairsLevel = t.pairsLevel[:0]

@@ -40,29 +40,10 @@ type Solver struct {
 	anc0    []*Node       // level-0 ancestor of each basis column
 	covered []bool        // some ancestor (levels 1..level) has a cross red edge
 
-	arith  Arith
-	elim   *intElim // ArithBig elimination state
-	melim  *modElim // ArithModular battery; survives resets (luck is system-independent)
+	elim   *intElim // row basis over the basis columns
 	broken bool     // structural fallback: delegate to from-scratch until reset
 
-	// The modular backend's replay skeleton: everything a fresh battery
-	// prime needs to catch up on the consumed equations without re-reading
-	// the consumed levels from the tree — which makes the solver
-	// compaction-proof (Tree.CompactLevels may release those levels).
-	// lifts[j] maps each level-j basis column to its level-(j-1) parent
-	// column (lifts[0] is unused); feds[l] holds the fed balance rows of
-	// level l in feed order, sparse over the level-(l+1) columns. Both are
-	// nil under ArithBig, which never replays.
-	lifts [][]int32
-	feds  [][][]sparseCoef
-
 	stats SolverStats
-}
-
-// sparseCoef is one nonzero coefficient of a recorded balance row.
-type sparseCoef struct {
-	col int32
-	val int64
 }
 
 // SolverStats counts the work a Solver has done, for regression tests and
@@ -83,42 +64,15 @@ type SolverStats struct {
 	Fallbacks int
 	// SolveTime accumulates wall time spent inside CountAt/FrequenciesAt.
 	SolveTime time.Duration
-
-	// PrimesUsed is the number of battery primes the modular backend has
-	// adopted over the solver's lifetime (evicted primes included). Zero
-	// under ArithBig.
-	PrimesUsed int
-	// CRTReconstructions counts null-ray CRT+rational recoveries.
-	CRTReconstructions int
-	// UnluckyEvictions counts battery primes evicted for rank drop or
-	// pivot-profile drift.
-	UnluckyEvictions int
-	// WitnessFallbacks counts calls answered by the big.Int witness because
-	// the modular battery failed to certify within its attempt budget.
-	WitnessFallbacks int
 }
 
-// NewSolver returns an empty Solver using the default (multi-modular)
-// arithmetic backend; it attaches to a tree on first use.
+// NewSolver returns an empty Solver; it attaches to a tree on first use.
 func NewSolver() *Solver {
-	return NewSolverWith(ArithModular)
-}
-
-// NewSolverWith returns an empty Solver using the given arithmetic backend.
-func NewSolverWith(a Arith) *Solver {
-	return &Solver{level: -1, arith: a}
+	return &Solver{level: -1}
 }
 
 // Stats returns the accumulated work counters.
-func (s *Solver) Stats() SolverStats {
-	st := s.stats
-	if s.melim != nil {
-		st.PrimesUsed = s.melim.nextPrime
-		st.CRTReconstructions = s.melim.crtRecons
-		st.UnluckyEvictions = s.melim.evictions
-	}
-	return st
-}
+func (s *Solver) Stats() SolverStats { return s.stats }
 
 // CountAt is the incremental equivalent of Count(t, completeLevels).
 func (s *Solver) CountAt(t *Tree, completeLevels int) (CountResult, error) {
@@ -145,14 +99,7 @@ func (s *Solver) CountAt(t *Tree, completeLevels int) (CountResult, error) {
 		}
 		return Count(t, completeLevels)
 	}
-	ray, certified := s.resolve()
-	if !certified {
-		s.stats.WitnessFallbacks++
-		if t.CompactedLevels() > 0 {
-			return CountResult{}, nil
-		}
-		return Count(t, completeLevels)
-	}
+	ray := s.resolve()
 	if ray == nil {
 		return CountResult{}, nil
 	}
@@ -177,14 +124,7 @@ func (s *Solver) FrequenciesAt(t *Tree, completeLevels int) (FrequencyResult, er
 		}
 		return Frequencies(t, completeLevels)
 	}
-	ray, certified := s.resolve()
-	if !certified {
-		s.stats.WitnessFallbacks++
-		if t.CompactedLevels() > 0 {
-			return FrequencyResult{}, nil
-		}
-		return Frequencies(t, completeLevels)
-	}
+	ray := s.resolve()
 	if ray == nil {
 		return FrequencyResult{}, nil
 	}
@@ -226,18 +166,7 @@ func (s *Solver) ensure(t *Tree, completeLevels int) (bool, error) {
 			s.idx[v] = i
 			s.anc0[i] = v
 		}
-		if s.arith == ArithBig {
-			s.elim = newIntElim(len(base))
-		} else {
-			if s.melim == nil {
-				s.melim = newModElim(len(base), 2)
-			} else {
-				s.melim.reset(len(base))
-			}
-			// lifts is level-indexed; level 0 has no lift into it.
-			s.lifts = append(s.lifts[:0], nil)
-			s.feds = s.feds[:0]
-		}
+		s.elim = newIntElim(len(base))
 	}
 	for s.level < completeLevels {
 		if !s.extend(t) {
@@ -254,7 +183,6 @@ func (s *Solver) reset(t *Tree) {
 	s.level = -1
 	s.basis, s.idx, s.anc0, s.covered = nil, nil, nil, nil
 	s.elim = nil
-	s.lifts, s.feds = nil, nil
 	s.broken = false
 }
 
@@ -293,12 +221,7 @@ func (s *Solver) extend(t *Tree) bool {
 	// pair enumeration matches the from-scratch solver's.
 	pairs := balancePairs(t, s.level)
 
-	if s.arith == ArithBig {
-		s.elim.lift(parentIdx, len(next))
-	} else {
-		s.melim.lift(parentIdx, len(next))
-		s.lifts = append(s.lifts, parentIdx)
-	}
+	s.elim.lift(parentIdx, len(next))
 
 	idx := make(map[*Node]int, len(next))
 	anc0 := make([]*Node, len(next))
@@ -312,16 +235,12 @@ func (s *Solver) extend(t *Tree) bool {
 	s.level++
 	s.stats.LevelsConsumed++
 
-	if s.arith == ArithBig {
-		s.feedBig(pairs, idx, len(next))
-	} else {
-		s.feedModular(pairs, idx, len(next))
-	}
+	s.feed(pairs, idx, len(next))
 	return true
 }
 
-// feedBig feeds one level's balance equations into the big.Int elimination.
-func (s *Solver) feedBig(pairs []nodePair, idx map[*Node]int, k int) {
+// feed feeds one level's balance equations into the elimination.
+func (s *Solver) feed(pairs []nodePair, idx map[*Node]int, k int) {
 	row := make([]big.Int, k)
 	for _, pair := range pairs {
 		for i := range row {
@@ -349,181 +268,29 @@ func (s *Solver) feedBig(pairs []nodePair, idx map[*Node]int, k int) {
 	}
 }
 
-// feedModular feeds one level's balance equations into the prime battery.
-// The int64 row scratch lives in the battery and is recycled, so the
-// steady-state feed's only allocations are the sparse row copies retained
-// for the replay skeleton (a handful of words per fed equation).
-func (s *Solver) feedModular(pairs []nodePair, idx map[*Node]int, k int) {
-	e := s.melim
-	if cap(e.intRow) < k {
-		e.intRow = make([]int64, k, k+k/2+4)
-	}
-	row := e.intRow[:k]
-	var coefs []sparseCoef
-	fed := make([][]sparseCoef, 0, len(pairs))
-	for _, pair := range pairs {
-		coefs = coefs[:0]
-		// A node is the child of exactly one of the pair, so each column
-		// appears at most once.
-		for _, c := range pair.w.Children {
-			if m := c.RedMult(pair.u); m != 0 {
-				coefs = append(coefs, sparseCoef{col: int32(idx[c]), val: int64(m)})
-			}
-		}
-		for _, c := range pair.u.Children {
-			if m := c.RedMult(pair.w); m != 0 {
-				coefs = append(coefs, sparseCoef{col: int32(idx[c]), val: -int64(m)})
-			}
-		}
-		s.stats.Equations++
-		if len(coefs) == 0 {
-			continue
-		}
-		for i := range row {
-			row[i] = 0
-		}
-		for _, cv := range coefs {
-			row[cv.col] = cv.val
-		}
-		e.addRow(row)
-		fed = append(fed, append([]sparseCoef(nil), coefs...))
-	}
-	s.feds = append(s.feds, fed)
-}
-
 // resolve extracts the positively-oriented null ray, or nil when the system
 // is not (or not yet) determined. The covered gate skips extraction when
 // some basis class has no red-edge constraint anywhere on its ancestor
 // chain: its column is zero in every equation, so the null space has
 // dimension ≥ 2 (or, degenerately, the ray would be a unit vector and fail
 // the positivity check) — either way the answer is unknown.
-//
-// certified=false means the modular battery could not certify a decision
-// within its attempt budget and the caller must delegate this call to the
-// big.Int witness; it never happens under ArithBig.
-func (s *Solver) resolve() (ray []*big.Rat, certified bool) {
+func (s *Solver) resolve() []*big.Rat {
 	k := len(s.basis)
 	if k >= 2 {
 		for _, c := range s.covered {
 			if !c {
-				return nil, true
+				return nil
 			}
 		}
-	}
-	if s.arith != ArithBig {
-		return s.resolveModular(k)
 	}
 	if s.elim.rank != k-1 {
-		return nil, true
+		return nil
 	}
-	ray = s.elim.nullRay()
+	ray := s.elim.nullRay()
 	if !orientPositive(ray) {
-		return nil, true
+		return nil
 	}
-	return ray, true
-}
-
-// resolveModular is resolve over the prime battery: it certifies the rank
-// decision (growing the battery to the Hadamard-bound size and replaying
-// the consumed equations into fresh primes straight from the tree), evicts
-// unlucky primes against the battery consensus, and CRT-reconstructs the
-// exact null ray at corank 1. Soundness: every lucky prime sees the exact
-// rank and pivot profile, an unlucky prime must divide one of two fixed
-// nonzero minors bounded by the Hadamard bound, and the battery holds more
-// primes than those minors admit 30-bit divisors — so after eviction the
-// per-prime rays are reductions of the one exact primitive ray and the CRT
-// modulus exceeds twice the square of its entry bound.
-func (s *Solver) resolveModular(k int) ([]*big.Rat, bool) {
-	e := s.melim
-	for attempt := 0; attempt < 5; attempt++ {
-		r := e.maxRank()
-		if r >= k {
-			return nil, true
-		}
-		if r < k-1 {
-			if len(e.primes) >= e.neededPrimes(false) {
-				return nil, true // certified: rank genuinely below k−1
-			}
-			e.growTo(e.neededPrimes(false), s.replayInto)
-			continue
-		}
-		if e.evictUnlucky() > 0 || len(e.primes) < e.neededPrimes(true) {
-			e.growTo(e.neededPrimes(true), s.replayInto)
-			continue
-		}
-		ray := e.nullRay()
-		if ray == nil {
-			continue
-		}
-		if !orientPositive(ray) {
-			return nil, true
-		}
-		return ray, true
-	}
-	return nil, false
-}
-
-// replayInto feeds a fresh battery prime the full consumed balance system,
-// reconstructed from the recorded replay skeleton (lifts + sparse fed
-// rows) and expanded onto the current basis exactly as the from-scratch
-// solver would expand it. The expansion of each old equation is the lift
-// of the row the incremental feed saw, so the fresh prime reduces the same
-// row space as its elders — just without their elimination history.
-// Reading only the skeleton (never the tree) is what lets
-// Tree.CompactLevels release the consumed levels underneath a live solver.
-func (s *Solver) replayInto(ps *primeState) {
-	e := s.melim
-	k := len(s.basis)
-	if cap(e.intRow) < k {
-		e.intRow = make([]int64, k, k+k/2+4)
-	}
-	row := e.intRow[:k]
-	// anc[j][i] is the level-j ancestor column of current column i, built
-	// by composing the recorded lifts top-down.
-	anc := make([][]int32, s.level+1)
-	cur := make([]int32, k)
-	for i := range cur {
-		cur[i] = int32(i)
-	}
-	anc[s.level] = cur
-	for j := s.level; j >= 2; j-- {
-		lift := s.lifts[j]
-		up := anc[j]
-		a := make([]int32, k)
-		for i := range a {
-			a[i] = lift[up[i]]
-		}
-		anc[j-1] = a
-	}
-	// Replay levels in feed order (0..level−1) so row order matches the
-	// original feed. Each sparse row is expanded through a dense
-	// level-(l+1) scratch: row[i] = dense[anc_{l+1}(i)].
-	var dense []int64
-	fed := 0
-	for l := 0; l < s.level && fed < e.rowsFed; l++ {
-		a := anc[l+1]
-		width := len(s.lifts[l+1])
-		if cap(dense) < width {
-			dense = make([]int64, width)
-		}
-		d := dense[:width]
-		for _, coefs := range s.feds[l] {
-			if fed >= e.rowsFed {
-				break
-			}
-			for _, cv := range coefs {
-				d[cv.col] = cv.val
-			}
-			for i := 0; i < k; i++ {
-				row[i] = d[a[i]]
-			}
-			for _, cv := range coefs {
-				d[cv.col] = 0
-			}
-			e.feedRow(ps, row)
-			fed++
-		}
-	}
+	return ray
 }
 
 // weights folds the basis ray into per-level-0-class weights.

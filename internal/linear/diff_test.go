@@ -35,13 +35,14 @@ var inModelPlans = []string{
 // none of which may change an answer: 0 is the default (processes with
 // identical views share one VHT, counts come from the incremental
 // solver), 1 gives every process a private VHT (PrivateVHT), and 2
-// recounts each level from scratch (FromScratchCount). The index is the
-// sched=N part of the subtest names, which this axis has carried since
-// it enumerated the engine's schedulers.
+// batches up to three observations per Edge message (BatchSize, the
+// Section 6 tradeoff). The index is the sched=N part of the subtest
+// names, which this axis has carried since it enumerated the engine's
+// schedulers.
 var congestedVariants = []func(*core.Config){
 	func(*core.Config) {},
 	func(c *core.Config) { c.PrivateVHT = true },
-	func(c *core.Config) { c.FromScratchCount = true },
+	func(c *core.Config) { c.BatchSize = 3 },
 }
 
 // faultedSchedule rebuilds the matrix schedule for one (plan, T) cell:

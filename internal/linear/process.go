@@ -6,7 +6,6 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"anondyn/internal/core"
 	"anondyn/internal/engine"
@@ -155,8 +154,7 @@ type process struct {
 	cfg   Config
 	input historytree.Input
 
-	solveTime  time.Duration
-	solveCalls int
+	solveStats historytree.SolverStats // summed over every view's solver
 }
 
 // run is the process coroutine: per block of T real rounds it broadcasts
@@ -210,6 +208,7 @@ func (p *process) run(tr *engine.Transport) (any, error) {
 			return nil, err
 		}
 		if oc != nil {
+			oc.Solver = p.solveStats
 			return oc, nil
 		}
 	}
@@ -232,10 +231,13 @@ func (p *process) decide(depth int, levels []level, tr *engine.Transport) (*core
 		// prefix that resolves the system has maximum slack, i.e. is the
 		// most likely to be genuinely complete. If the depth condition
 		// fails, wait for more blocks instead of trusting deeper (less
-		// settled) prefixes.
+		// settled) prefixes. One incremental solver per view serves the
+		// whole scan, consuming each level's equations once.
 		limit := chainComplete(tree, depth)
+		solver := historytree.NewSolver()
+		defer p.account(solver)
 		for c := 0; c <= limit; c++ {
-			res, err := p.countAt(tree, c)
+			res, err := solver.CountAt(tree, c)
 			if err != nil {
 				// Levels wrongly assumed complete; not settled yet.
 				break
@@ -247,7 +249,6 @@ func (p *process) decide(depth int, levels []level, tr *engine.Transport) (*core
 				return &core.Outcome{
 					N: res.N, Multiset: res.Multiset, VHT: tree,
 					Levels: depth, FinalRound: tr.Round(),
-					Solver: historytree.SolverStats{Calls: p.solveCalls, SolveTime: p.solveTime},
 				}, nil
 			}
 			break
@@ -270,8 +271,10 @@ func (p *process) decide(depth int, levels []level, tr *engine.Transport) (*core
 		if cc := chainComplete(tree, limit); cc < limit {
 			limit = cc
 		}
+		solver := historytree.NewSolver()
+		defer p.account(solver)
 		for c := 0; c <= limit; c++ {
-			res, err := p.frequenciesAt(tree, c)
+			res, err := solver.FrequenciesAt(tree, c)
 			if err != nil {
 				break
 			}
@@ -281,7 +284,6 @@ func (p *process) decide(depth int, levels []level, tr *engine.Transport) (*core
 			return &core.Outcome{
 				Frequencies: &res, VHT: tree,
 				Levels: depth, FinalRound: tr.Round(), FinalDiamEstimate: p.cfg.DiamBound,
-				Solver: historytree.SolverStats{Calls: p.solveCalls, SolveTime: p.solveTime},
 			}, nil
 		}
 		return nil, nil
@@ -289,23 +291,12 @@ func (p *process) decide(depth int, levels []level, tr *engine.Transport) (*core
 	return nil, fmt.Errorf("linear: unknown mode %d", p.cfg.Mode)
 }
 
-// countAt runs the counting solver with timing accounted to the process.
-func (p *process) countAt(tree *historytree.Tree, c int) (historytree.CountResult, error) {
-	start := time.Now()
-	res, err := historytree.CountWith(tree, c, p.cfg.Arithmetic)
-	p.solveTime += time.Since(start)
-	p.solveCalls++
-	return res, err
-}
-
-// frequenciesAt runs the frequency solver with timing accounted to the
-// process.
-func (p *process) frequenciesAt(tree *historytree.Tree, c int) (historytree.FrequencyResult, error) {
-	start := time.Now()
-	res, err := historytree.FrequenciesWith(tree, c, p.cfg.Arithmetic)
-	p.solveTime += time.Since(start)
-	p.solveCalls++
-	return res, err
+// account adds a view's solver work to the process totals, which run
+// copies into the Outcome.
+func (p *process) account(s *historytree.Solver) {
+	st := s.Stats()
+	p.solveStats.Calls += st.Calls
+	p.solveStats.SolveTime += st.SolveTime
 }
 
 // chainComplete returns the deepest candidate c ≤ depth such that every

@@ -1,6 +1,7 @@
 package linear_test
 
 import (
+	"maps"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -15,8 +16,7 @@ import (
 // TestQuickLeaderlessProtocolAgreement is the property-based arm of the
 // differential suite: over random (n, density, seed, value-assignment)
 // draws, the leaderless frequency vector must be identical between the
-// congested and linear protocols under BOTH solver arithmetic backends
-// (-arith modular and -arith big) — four runs per draw, all verified
+// congested and linear protocols — two runs per draw, both verified
 // against ground truth and against each other. testing/quick drives the
 // draws from a seeded source so failures replay.
 func TestQuickLeaderlessProtocolAgreement(t *testing.T) {
@@ -30,37 +30,33 @@ func TestQuickLeaderlessProtocolAgreement(t *testing.T) {
 		}
 
 		var want *historytree.FrequencyResult
-		for _, arith := range []historytree.Arith{historytree.ArithModular, historytree.ArithBig} {
-			for _, protocol := range []string{"congested", "linear"} {
-				sched := dynnet.NewRandomConnected(n, p, seed)
-				var res *core.RunResult
-				var err error
-				if protocol == "linear" {
-					cfg := linear.Config{Mode: core.ModeLeaderless, DiamBound: n,
-						MaxLevels: 3*n + 8, Arithmetic: arith}
-					res, err = linear.Run(sched, inputs, cfg, core.RunOptions{})
-				} else {
-					cfg := core.Config{Mode: core.ModeLeaderless, DiamBound: n,
-						MaxLevels: 3*n + 8, Arithmetic: arith}
-					res, err = core.Run(sched, inputs, cfg, core.RunOptions{})
-				}
-				if err != nil {
-					t.Logf("n=%d p=%.2f seed=%d %s/%s: %v", n, p, seed, protocol, arith, err)
-					return false
-				}
-				if verr := check.VerifyAnswer(inputs, res); verr != nil {
-					t.Logf("n=%d p=%.2f seed=%d %s/%s: %v", n, p, seed, protocol, arith, verr)
-					return false
-				}
-				if want == nil {
-					want = res.Frequencies
-					continue
-				}
-				if !sameShares(want, res.Frequencies) {
-					t.Logf("n=%d p=%.2f seed=%d %s/%s: %+v, first run said %+v",
-						n, p, seed, protocol, arith, res.Frequencies, want)
-					return false
-				}
+		for _, protocol := range []string{"congested", "linear"} {
+			sched := dynnet.NewRandomConnected(n, p, seed)
+			var res *core.RunResult
+			var err error
+			if protocol == "linear" {
+				cfg := linear.Config{Mode: core.ModeLeaderless, DiamBound: n, MaxLevels: 3*n + 8}
+				res, err = linear.Run(sched, inputs, cfg, core.RunOptions{})
+			} else {
+				cfg := core.Config{Mode: core.ModeLeaderless, DiamBound: n, MaxLevels: 3*n + 8}
+				res, err = core.Run(sched, inputs, cfg, core.RunOptions{})
+			}
+			if err != nil {
+				t.Logf("n=%d p=%.2f seed=%d %s: %v", n, p, seed, protocol, err)
+				return false
+			}
+			if verr := check.VerifyAnswer(inputs, res); verr != nil {
+				t.Logf("n=%d p=%.2f seed=%d %s: %v", n, p, seed, protocol, verr)
+				return false
+			}
+			if want == nil {
+				want = res.Frequencies
+				continue
+			}
+			if !sameShares(want, res.Frequencies) {
+				t.Logf("n=%d p=%.2f seed=%d %s: %+v, first run said %+v",
+					n, p, seed, protocol, res.Frequencies, want)
+				return false
 			}
 		}
 		return true
@@ -75,8 +71,8 @@ func TestQuickLeaderlessProtocolAgreement(t *testing.T) {
 }
 
 // TestQuickLeaderProtocolAgreement is the leader-mode counterpart: the
-// count and input multiset must agree across protocols and arithmetic
-// backends on random generalized-counting instances.
+// count and input multiset must agree across protocols on random
+// generalized-counting instances, and match ground truth.
 func TestQuickLeaderProtocolAgreement(t *testing.T) {
 	property := func(nSel, pSel uint8, seed int64, valSel uint16) bool {
 		n := 1 + int(nSel)%7
@@ -87,27 +83,37 @@ func TestQuickLeaderProtocolAgreement(t *testing.T) {
 			inputs[i].Value = int64((valSel >> (2 * (i % 8))) % 3)
 		}
 
-		wantN := -1
-		for _, arith := range []historytree.Arith{historytree.ArithModular, historytree.ArithBig} {
-			cfg := linear.Config{Mode: core.ModeLeader, MaxLevels: 3*n + 8, Arithmetic: arith}
-			res, err := linear.Run(dynnet.NewRandomConnected(n, p, seed), inputs, cfg, core.RunOptions{})
+		var want *core.RunResult
+		for _, protocol := range []string{"congested", "linear"} {
+			sched := dynnet.NewRandomConnected(n, p, seed)
+			var res *core.RunResult
+			var err error
+			if protocol == "linear" {
+				cfg := linear.Config{Mode: core.ModeLeader, MaxLevels: 3*n + 8}
+				res, err = linear.Run(sched, inputs, cfg, core.RunOptions{})
+			} else {
+				cfg := core.Config{Mode: core.ModeLeader, BuildInputLevel: true, MaxLevels: 3*n + 8}
+				res, err = core.Run(sched, inputs, cfg, core.RunOptions{})
+			}
 			if err != nil {
-				t.Logf("n=%d p=%.2f seed=%d linear/%s: %v", n, p, seed, arith, err)
+				t.Logf("n=%d p=%.2f seed=%d %s: %v", n, p, seed, protocol, err)
 				return false
 			}
 			if verr := check.VerifyAnswer(inputs, res); verr != nil {
-				t.Logf("n=%d p=%.2f seed=%d linear/%s: %v", n, p, seed, arith, verr)
+				t.Logf("n=%d p=%.2f seed=%d %s: %v", n, p, seed, protocol, verr)
 				return false
 			}
-			if wantN == -1 {
-				wantN = res.N
-			} else if res.N != wantN {
-				t.Logf("n=%d p=%.2f seed=%d linear/%s counted %d, modular said %d",
-					n, p, seed, arith, res.N, wantN)
+			if want == nil {
+				want = res
+				continue
+			}
+			if res.N != want.N || !maps.Equal(res.Multiset, want.Multiset) {
+				t.Logf("n=%d p=%.2f seed=%d %s: n=%d %v, congested said n=%d %v",
+					n, p, seed, protocol, res.N, res.Multiset, want.N, want.Multiset)
 				return false
 			}
 		}
-		return wantN == n
+		return want.N == n
 	}
 	cfg := &quick.Config{
 		MaxCount: 40,

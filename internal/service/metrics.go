@@ -39,14 +39,6 @@ type Metrics struct {
 	// RoundsSimulated totals the communication rounds actually executed
 	// (cache hits add nothing — that is the point of the cache).
 	RoundsSimulated atomic.Int64
-	// SolverCRTRecons, SolverEvictions and SolverWitnessFalls total the
-	// multi-modular counting solver's work across completed jobs: CRT ray
-	// reconstructions, unlucky-prime evictions, and fallbacks to the
-	// big.Int exactness witness. Witness falls staying at zero is the
-	// operational signal that the modular backend is carrying every run.
-	SolverCRTRecons    atomic.Int64
-	SolverEvictions    atomic.Int64
-	SolverWitnessFalls atomic.Int64
 	// VHTCompactedLevels and VHTCompactedNodes total the history-level
 	// compaction work across completed jobs (CompactVHT specs only);
 	// VHTPeakResidentNodes is the largest resident history tree any single
@@ -63,21 +55,18 @@ type Metrics struct {
 
 // MetricsSnapshot is the JSON form served at GET /v1/metrics.
 type MetricsSnapshot struct {
-	JobsAccepted       int64 `json:"jobsAccepted"`
-	JobsCompleted      int64 `json:"jobsCompleted"`
-	JobsCancelled      int64 `json:"jobsCancelled"`
-	JobsFailed         int64 `json:"jobsFailed"`
-	JobsDeadlined      int64 `json:"jobsDeadlined"`
-	CacheHits          int64 `json:"cacheHits"`
-	CacheMisses        int64 `json:"cacheMisses"`
-	StoreHits          int64 `json:"storeHits"`
-	StoreErrors        int64 `json:"storeErrors"`
-	RoundsSimulated    int64 `json:"roundsSimulated"`
-	WorkersBusy        int64 `json:"workersBusy"`
-	QueueDepth         int64 `json:"queueDepth"`
-	SolverCRTRecons    int64 `json:"solverCRTRecons"`
-	SolverEvictions    int64 `json:"solverEvictions"`
-	SolverWitnessFalls int64 `json:"solverWitnessFalls"`
+	JobsAccepted    int64 `json:"jobsAccepted"`
+	JobsCompleted   int64 `json:"jobsCompleted"`
+	JobsCancelled   int64 `json:"jobsCancelled"`
+	JobsFailed      int64 `json:"jobsFailed"`
+	JobsDeadlined   int64 `json:"jobsDeadlined"`
+	CacheHits       int64 `json:"cacheHits"`
+	CacheMisses     int64 `json:"cacheMisses"`
+	StoreHits       int64 `json:"storeHits"`
+	StoreErrors     int64 `json:"storeErrors"`
+	RoundsSimulated int64 `json:"roundsSimulated"`
+	WorkersBusy     int64 `json:"workersBusy"`
+	QueueDepth      int64 `json:"queueDepth"`
 	// History-level compaction counters (see Metrics).
 	VHTCompactedLevels   int64 `json:"vhtCompactedLevels"`
 	VHTCompactedNodes    int64 `json:"vhtCompactedNodes"`
@@ -94,22 +83,18 @@ type MetricsSnapshot struct {
 // Snapshot captures the current counter values.
 func (m *Metrics) Snapshot() MetricsSnapshot {
 	return MetricsSnapshot{
-		JobsAccepted:       m.JobsAccepted.Load(),
-		JobsCompleted:      m.JobsCompleted.Load(),
-		JobsCancelled:      m.JobsCancelled.Load(),
-		JobsFailed:         m.JobsFailed.Load(),
-		JobsDeadlined:      m.JobsDeadlined.Load(),
-		CacheHits:          m.CacheHits.Load(),
-		CacheMisses:        m.CacheMisses.Load(),
-		StoreHits:          m.StoreHits.Load(),
-		StoreErrors:        m.StoreErrors.Load(),
-		RoundsSimulated:    m.RoundsSimulated.Load(),
-		WorkersBusy:        m.WorkersBusy.Load(),
-		QueueDepth:         m.QueueDepth.Load(),
-		SolverCRTRecons:    m.SolverCRTRecons.Load(),
-		SolverEvictions:    m.SolverEvictions.Load(),
-		SolverWitnessFalls: m.SolverWitnessFalls.Load(),
-
+		JobsAccepted:         m.JobsAccepted.Load(),
+		JobsCompleted:        m.JobsCompleted.Load(),
+		JobsCancelled:        m.JobsCancelled.Load(),
+		JobsFailed:           m.JobsFailed.Load(),
+		JobsDeadlined:        m.JobsDeadlined.Load(),
+		CacheHits:            m.CacheHits.Load(),
+		CacheMisses:          m.CacheMisses.Load(),
+		StoreHits:            m.StoreHits.Load(),
+		StoreErrors:          m.StoreErrors.Load(),
+		RoundsSimulated:      m.RoundsSimulated.Load(),
+		WorkersBusy:          m.WorkersBusy.Load(),
+		QueueDepth:           m.QueueDepth.Load(),
 		VHTCompactedLevels:   m.VHTCompactedLevels.Load(),
 		VHTCompactedNodes:    m.VHTCompactedNodes.Load(),
 		VHTPeakResidentNodes: m.VHTPeakResidentNodes.Load(),

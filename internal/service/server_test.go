@@ -251,8 +251,9 @@ func TestServerEndToEnd(t *testing.T) {
 }
 
 // TestServerRejectsUnknownFields guards the API contract: a typo in a spec
-// field, or a field the API no longer has (the removed "scheduler"), is an
-// error naming the field, not a silently defaulted knob.
+// field, or a field the API no longer has (the removed "scheduler" and
+// "arithmetic"), is an error naming the field, not a silently defaulted
+// knob.
 func TestServerRejectsUnknownFields(t *testing.T) {
 	srv, err := NewServer(ServerConfig{Workers: 1, CacheSize: 4, QueueSize: 4})
 	if err != nil {
@@ -265,8 +266,9 @@ func TestServerRejectsUnknownFields(t *testing.T) {
 		_ = srv.Shutdown(ctx)
 	}()
 	for field, body := range map[string]string{
-		"topologyy": `{"n":4,"topologyy":"path"}`,
-		"scheduler": `{"n":4,"scheduler":"parallel"}`,
+		"topologyy":  `{"n":4,"topologyy":"path"}`,
+		"scheduler":  `{"n":4,"scheduler":"parallel"}`,
+		"arithmetic": `{"n":4,"arithmetic":"big"}`,
 	} {
 		resp, err := http.Post("http://"+srv.Addr()+"/v1/jobs", "application/json",
 			bytes.NewReader([]byte(body)))

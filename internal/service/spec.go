@@ -49,7 +49,7 @@ type JobSpec struct {
 	// PODC 2023 congested protocol (internal/core, O(T·n³ log n) rounds,
 	// O(log n)-bit messages), "linear" for the FOCS 2022 full-information
 	// protocol (internal/linear, Θ(T·n) rounds, messages growing to
-	// Θ(n³ log n) bits). Unlike Arithmetic this is a semantic knob: answers agree (pinned by the cross-protocol
+	// Θ(n³ log n) bits). Answers agree (pinned by the cross-protocol
 	// equivalence suite) but rounds and bit accounting differ, so the
 	// spec hash keeps it. The congested-only extensions (halt, fine,
 	// batch, keepAll, eager, compact, privatevht, the isolator adversary)
@@ -97,13 +97,6 @@ type JobSpec struct {
 	// by the core sharing equivalence suite), so the spec hash ignores it;
 	// it exists as an ablation knob for perf comparisons.
 	PrivateVHT bool `json:"private_vht,omitempty"`
-	// Arithmetic selects the counting solver's exact-arithmetic backend:
-	// "" or "modular" for the multi-modular residue/CRT default, "big"
-	// for the fraction-free big.Int eliminator kept as the exactness
-	// witness. Both backends produce identical results (pinned by the
-	// solver equivalence suite), so this is a performance/debugging knob
-	// the spec hash ignores.
-	Arithmetic string `json:"arithmetic,omitempty"`
 	// Faults is a fault-plan spec layered over the adversary (see
 	// internal/faults.Parse for the grammar, e.g. "spike:8:0"). Empty
 	// means fault-free. Out-of-model plans (drop, crash) require a
@@ -139,9 +132,6 @@ func (s *JobSpec) Normalize() {
 	}
 	if len(s.Inputs) == 0 {
 		s.Inputs = nil
-	}
-	if s.Arithmetic == "modular" {
-		s.Arithmetic = "" // the default, spelled out
 	}
 	s.Faults = strings.TrimSpace(s.Faults)
 	if s.Faults == "" {
@@ -204,9 +194,6 @@ func (s JobSpec) Validate() error {
 			return fmt.Errorf("the isolator adversary targets the congested protocol's leader; protocol linear unsupported")
 		}
 	}
-	if s.Arithmetic != "" && s.Arithmetic != "big" {
-		return fmt.Errorf("unknown arithmetic %q (have modular, big)", s.Arithmetic)
-	}
 	if len(s.Inputs) > 0 && len(s.Inputs) != s.N {
 		return fmt.Errorf("%d input values for %d processes", len(s.Inputs), s.N)
 	}
@@ -251,10 +238,8 @@ func (s JobSpec) Validate() error {
 // result-cache key.
 func (s JobSpec) Hash() string {
 	s.Normalize()
-	// The arithmetic backends produce identical results (the solver's
-	// equivalence contract), so the choice must not fragment the result
-	// cache; the same holds for compaction (the core equivalence suite).
-	s.Arithmetic = ""
+	// Compaction and sharing produce identical results (the core
+	// equivalence suites), so they must not fragment the result cache.
 	s.CompactVHT = false
 	s.PrivateVHT = false
 	// Protocol stays in the hash: both protocols return the same answer
@@ -336,9 +321,6 @@ func (s JobSpec) config() core.Config {
 		CompactVHT:       s.CompactVHT,
 		PrivateVHT:       s.PrivateVHT,
 	}
-	if s.Arithmetic == "big" {
-		cfg.Arithmetic = historytree.ArithBig
-	}
 	if s.Leaderless {
 		cfg.Mode = core.ModeLeaderless
 		cfg.DiamBound = s.N * s.BlockT
@@ -355,9 +337,6 @@ func (s JobSpec) linearConfig() linear.Config {
 		Mode:      core.ModeLeader,
 		BlockT:    s.BlockT,
 		MaxLevels: 3*s.N + 8,
-	}
-	if s.Arithmetic == "big" {
-		cfg.Arithmetic = historytree.ArithBig
 	}
 	if s.Leaderless {
 		cfg.Mode = core.ModeLeaderless

@@ -76,8 +76,8 @@ func TestSpecHashCanonical(t *testing.T) {
 
 // TestSpecHashGolden pins spec hashes across releases: stored results are
 // keyed by them, so a hash change silently empties every persisted cache.
-// The values predate the removal of the scheduler field and stay valid
-// because a spec never hashed that field.
+// The values predate the removal of the scheduler and arithmetic fields
+// and stay valid because a spec never hashed either field.
 func TestSpecHashGolden(t *testing.T) {
 	for _, tc := range []struct {
 		spec JobSpec

@@ -19,13 +19,6 @@ type Timing struct {
 	// counting solver, over SolverCalls invocations.
 	SolverTime  time.Duration
 	SolverCalls int
-	// Multi-modular solver counters (zero under the big.Int backend):
-	// battery primes in use at termination, CRT ray reconstructions,
-	// unlucky-prime evictions, and fallbacks to the big.Int witness.
-	SolverPrimes       int
-	SolverCRTRecons    int
-	SolverEvictions    int
-	SolverWitnessFalls int
 	// History-tree residency: the deepest level released by CompactVHT
 	// compaction (0 when off or never engaged) and the peak resident node
 	// count of the deciding process's tree.
@@ -36,31 +29,21 @@ type Timing struct {
 // TimingOf extracts the timing view of a run's statistics.
 func TimingOf(st core.RunStats) *Timing {
 	return &Timing{
-		WallClock:          st.WallClock,
-		SolverTime:         st.SolverTime,
-		SolverCalls:        st.SolverCalls,
-		SolverPrimes:       st.SolverPrimes,
-		SolverCRTRecons:    st.SolverCRTRecons,
-		SolverEvictions:    st.SolverEvictions,
-		SolverWitnessFalls: st.SolverWitnessFalls,
-		CompactedLevels:    st.CompactedLevels,
-		PeakResidentNodes:  st.PeakResidentNodes,
+		WallClock:         st.WallClock,
+		SolverTime:        st.SolverTime,
+		SolverCalls:       st.SolverCalls,
+		CompactedLevels:   st.CompactedLevels,
+		PeakResidentNodes: st.PeakResidentNodes,
 	}
 }
 
 // Add accumulates another run's timing into t (for sweep points that
-// aggregate several seeds). The battery size takes the maximum rather
-// than the sum — it is a high-water mark, not a volume.
+// aggregate several seeds). The residency counters take the maximum
+// rather than the sum — they are high-water marks, not volumes.
 func (t *Timing) Add(o *Timing) {
 	t.WallClock += o.WallClock
 	t.SolverTime += o.SolverTime
 	t.SolverCalls += o.SolverCalls
-	if o.SolverPrimes > t.SolverPrimes {
-		t.SolverPrimes = o.SolverPrimes
-	}
-	t.SolverCRTRecons += o.SolverCRTRecons
-	t.SolverEvictions += o.SolverEvictions
-	t.SolverWitnessFalls += o.SolverWitnessFalls
 	if o.CompactedLevels > t.CompactedLevels {
 		t.CompactedLevels = o.CompactedLevels
 	}
@@ -83,15 +66,6 @@ func (t *Timing) String() string {
 	}
 	s := fmt.Sprintf("wall %.1fms, solver %.1fms (%.0f%%, %d calls)",
 		t.WallMS(), t.SolverMS(), share, t.SolverCalls)
-	if t.SolverPrimes > 0 {
-		s += fmt.Sprintf(", %d primes, %d crt", t.SolverPrimes, t.SolverCRTRecons)
-		if t.SolverEvictions > 0 {
-			s += fmt.Sprintf(", %d evictions", t.SolverEvictions)
-		}
-		if t.SolverWitnessFalls > 0 {
-			s += fmt.Sprintf(", %d witness falls", t.SolverWitnessFalls)
-		}
-	}
 	if t.CompactedLevels > 0 {
 		s += fmt.Sprintf(", %d levels compacted (peak %d nodes)",
 			t.CompactedLevels, t.PeakResidentNodes)
