@@ -22,6 +22,9 @@ func (f *loopTransport) SendAndReceive(engine.Message) ([]engine.Message, error)
 	f.round++
 	return f.replies, nil
 }
+func (f *loopTransport) Relay(m engine.Message, blocks, block int, stop func(engine.Message) bool) (engine.Message, error) {
+	return relayBySendAndReceive(f, m, blocks, block, stop)
+}
 func (f *loopTransport) Round() int { return f.round }
 func (f *loopTransport) PID() int   { return 1 }
 

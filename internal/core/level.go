@@ -68,7 +68,7 @@ func (p *Process) setUpNewLevel() (restart bool, err error) {
 			continue
 		}
 		if m.Label == wire.LabelHalt {
-			return false, p.haltForward(m)
+			return false, p.haltForward(p.boxFor(m))
 		}
 		if !haveIntruder || Higher(m, intruder) {
 			intruder, haveIntruder = m, true

@@ -2,51 +2,26 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"anondyn/internal/wire"
 )
 
-// broadcastStep is BroadcastStep (Listing 3 lines 20–26): send the current
-// message, then keep the highest-priority message among it and everything
-// received. Receiving a Halt message immediately switches the process into
-// the termination forwarding of Section 5.
-func (p *Process) broadcastStep(m wire.Message) (wire.Message, error) {
-	top, err := p.broadcastStepPtr(p.boxFor(m))
-	return *top, err
-}
-
-// broadcastStepPtr is broadcastStep threading immutable heap boxes instead
-// of message values: the multi-round loops below feed each round's result
-// pointer straight back in, so a steady-state round moves no 48-byte
-// structs and compares boxes by identity (see receiveTopPtr). On error the
-// input box is returned, mirroring the value form.
-func (p *Process) broadcastStepPtr(mp *wire.Message) (*wire.Message, error) {
-	top, err := p.receiveTopPtr(mp)
-	if err != nil {
-		return mp, err
-	}
-	if top.Label == wire.LabelHalt && mp.Label != wire.LabelHalt {
-		return top, p.haltForward(*top)
-	}
-	return top, nil
-}
-
 // broadcastPhase is BroadcastPhase (Listing 3 lines 28–38): DiamEstimate
-// broadcast steps, then dispatch on the surviving message. Error and Reset
-// results are handled and reported as restart=true.
-func (p *Process) broadcastPhase(m wire.Message) (wire.Message, bool, error) {
-	mp := p.boxFor(m)
-	for i := 0; i < p.diamEstimate; i++ {
-		var err error
-		mp, err = p.broadcastStepPtr(mp)
-		if err != nil {
-			return *mp, false, err
-		}
+// broadcast steps (Listing 3 lines 20–26) as one relay, then dispatch on
+// the surviving message. Receiving a Halt message ends the phase at once
+// and switches the process into the termination forwarding of Section 5.
+// Error and Reset results are handled and reported as restart=true.
+func (p *Process) broadcastPhase(mp *wire.Message) (*wire.Message, bool, error) {
+	top, err := p.relay(mp, p.diamEstimate, isHalt)
+	if err != nil {
+		return mp, false, err
 	}
-	top := *mp
 	switch top.Label {
+	case wire.LabelHalt:
+		return top, false, p.haltForward(top)
 	case wire.LabelError:
-		if err := p.handleError(top); err != nil {
+		if err := p.handleError(*top); err != nil {
 			return top, false, err
 		}
 		return top, true, nil
@@ -103,7 +78,7 @@ func (p *Process) leaderReset(target int) error {
 	}
 	reset := wire.Reset(int64(target), int64(p.tr.Round()), int64(p.diamEstimate*2))
 	p.rec.noteReset(int(reset.C))
-	return p.broadcastReset(reset)
+	return p.broadcastReset(p.boxFor(reset))
 }
 
 // broadcastError is BroadcastError (Listing 6 lines 21–27): broadcast an
@@ -111,29 +86,27 @@ func (p *Process) leaderReset(target int) error {
 // message arrives, then join that reset. The target is a level in the basic
 // algorithm and a journal index under fine-grained resets.
 func (p *Process) broadcastError(target int) error {
-	mp := p.boxFor(wire.Error(int64(target)))
-	for mp.Label != wire.LabelReset {
-		var err error
-		mp, err = p.broadcastStepPtr(mp)
-		if err != nil {
-			return err
-		}
+	top, err := p.relay(p.boxFor(wire.Error(int64(target))), math.MaxInt, isResetOrHalt)
+	if err != nil {
+		return err
 	}
-	return p.broadcastReset(*mp)
+	if top.Label == wire.LabelHalt {
+		return p.haltForward(top)
+	}
+	return p.broadcastReset(top)
 }
 
 // broadcastReset is BroadcastReset (Listing 6 lines 29–41): forward the
 // reset until the globally agreed final round StartingRound+NewDiam, then
 // perform the rollback.
-func (p *Process) broadcastReset(m wire.Message) error {
-	final := int(m.B + m.C)
-	mp := p.boxFor(m)
-	for p.tr.Round() < final {
-		var err error
-		mp, err = p.broadcastStepPtr(mp)
-		if err != nil {
-			return err
-		}
+func (p *Process) broadcastReset(mp *wire.Message) error {
+	m := *mp
+	top, err := p.relay(mp, int(m.B+m.C)-p.tr.Round(), isHalt)
+	if err != nil {
+		return err
+	}
+	if top.Label == wire.LabelHalt {
+		return p.haltForward(top)
 	}
 	return p.performReset(int(m.A), int(m.C))
 }

@@ -35,15 +35,48 @@ func (f *fakeTransport) SendAndReceive(m engine.Message) ([]engine.Message, erro
 		return nil, f.exhausted
 	}
 	out := make([]engine.Message, len(f.replies[f.round]))
-	for i, r := range f.replies[f.round] {
-		out[i] = r
+	for i := range f.replies[f.round] {
+		box := f.replies[f.round][i]
+		out[i] = &box
 	}
 	f.round++
 	return out, nil
 }
 
+func (f *fakeTransport) Relay(m engine.Message, blocks, block int, stop func(engine.Message) bool) (engine.Message, error) {
+	return relayBySendAndReceive(f, m, blocks, block, stop)
+}
+
 func (f *fakeTransport) Round() int { return f.round }
 func (f *fakeTransport) PID() int   { return 0 }
+
+// relayBySendAndReceive is the per-round witness of engine relays (see
+// engine.Transport.Relay): blocks·block SendAndReceive calls, each round's
+// deliveries folded into the held message under higherBoxed in delivery
+// order, the held message published at block ends and stop checked there.
+func relayBySendAndReceive(tr interface {
+	SendAndReceive(engine.Message) ([]engine.Message, error)
+}, m engine.Message, blocks, block int, stop func(engine.Message) bool) (engine.Message, error) {
+	held, published := m, m
+	for b := 0; b < blocks; b++ {
+		for r := 0; r < block; r++ {
+			msgs, err := tr.SendAndReceive(published)
+			if err != nil {
+				return nil, err
+			}
+			for _, d := range msgs {
+				if higherBoxed(d, held) {
+					held = d
+				}
+			}
+		}
+		published = held
+		if stop != nil && stop(held) {
+			break
+		}
+	}
+	return held, nil
+}
 
 // newUnitProcess returns a non-leader process wired to the fake transport,
 // initialized for basic mode at level 1.
@@ -60,11 +93,11 @@ func TestBroadcastStepKeepsHighestPriority(t *testing.T) {
 		[]wire.Message{wire.Null(), wire.Done(4), wire.Edge(1, 2, 3)},
 	)
 	p := newUnitProcess(t, tr, false)
-	top, err := p.broadcastStep(wire.Done(9))
-	if err != nil {
-		t.Fatal(err)
+	top, restart, err := p.broadcastPhase(p.boxFor(wire.Done(9))) // one step: DiamEstimate 1
+	if err != nil || restart {
+		t.Fatalf("restart=%v err=%v", restart, err)
 	}
-	if top != wire.Edge(1, 2, 3) {
+	if *top != wire.Edge(1, 2, 3) {
 		t.Fatalf("top = %s, want the edge", top)
 	}
 }
@@ -72,11 +105,11 @@ func TestBroadcastStepKeepsHighestPriority(t *testing.T) {
 func TestBroadcastStepKeepsOwnOnLowerPriorityTraffic(t *testing.T) {
 	tr := newFakeTransport(t, []wire.Message{wire.Null(), wire.Begin(7)})
 	p := newUnitProcess(t, tr, false)
-	top, err := p.broadcastStep(wire.Done(2))
-	if err != nil {
-		t.Fatal(err)
+	top, restart, err := p.broadcastPhase(p.boxFor(wire.Done(2)))
+	if err != nil || restart {
+		t.Fatalf("restart=%v err=%v", restart, err)
 	}
-	if top != wire.Done(2) {
+	if *top != wire.Done(2) {
 		t.Fatalf("top = %s, want own Done", top)
 	}
 }
@@ -89,11 +122,11 @@ func TestBroadcastPhaseRunsDiamEstimateSteps(t *testing.T) {
 	)
 	p := newUnitProcess(t, tr, false)
 	p.diamEstimate = 3
-	top, restart, err := p.broadcastPhase(wire.End())
+	top, restart, err := p.broadcastPhase(p.boxFor(wire.End()))
 	if err != nil || restart {
 		t.Fatalf("restart=%v err=%v", restart, err)
 	}
-	if top != wire.Edge(3, 4, 1) {
+	if *top != wire.Edge(3, 4, 1) {
 		t.Fatalf("top = %s", top)
 	}
 	if len(tr.sentLog) != 3 {
@@ -124,7 +157,7 @@ func TestBroadcastPhaseErrorTriggersErrorPhase(t *testing.T) {
 	p.snapshots[2] = snapshot{myID: 1, nextFreshID: 2}
 	p.currentLevel = 2
 
-	_, restart, err := p.broadcastPhase(wire.Done(5))
+	_, restart, err := p.broadcastPhase(p.boxFor(wire.Done(5)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +217,7 @@ func TestHaltForwardUnwinds(t *testing.T) {
 	)
 	p := newUnitProcess(t, tr, false)
 	p.cfg.SimultaneousHalt = true
-	_, err := p.broadcastStep(wire.Null())
+	_, _, err := p.broadcastPhase(boxedNull) // one step: DiamEstimate 1
 	var h *haltedError
 	if !errors.As(err, &h) {
 		t.Fatalf("err = %v, want haltedError", err)

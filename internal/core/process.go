@@ -33,27 +33,14 @@ type Process struct {
 	forkedFrom *shareGroup
 
 	tr transport
-	// trEng is tr's concrete value when it is a plain *engine.Transport
-	// (every run without the block simulation): the broadcast hot path
-	// calls it directly, saving an interface dispatch per round per
-	// process. nil under blockTransport, which falls back to tr.
-	trEng *engine.Transport
 
 	// rxBuf is the wire-message conversion scratch of sendAndReceive,
-	// reused across rounds (see the validity-window note there); rxRaw is
-	// the engine's last raw delivery slice, retained so boxFor can recycle
-	// the received heap boxes at the next send (read strictly before the
-	// next SendAndReceive, inside the engine's validity window).
-	rxBuf []wire.Message
-	rxRaw []engine.Message
-	// txLast / txBoxed cache the last sent message and its heap box, so
-	// re-broadcasting an unchanged message does not re-allocate (see
-	// sendAndReceive); txCache is a small ring of recently created boxes
-	// behind them, covering re-originated proposals across phases. Every
-	// box is immutable once published (see boxFor), which is what lets
-	// the broadcast loop thread bare pointers between rounds.
-	txLast      wire.Message
-	txBoxed     *wire.Message
+	// reused across rounds (see the validity-window note there). txCache
+	// is a small ring of recently created boxes, covering re-originated
+	// proposals across phases. Every box is immutable once published (see
+	// boxFor), which is what lets relays thread bare pointers between
+	// phases.
+	rxBuf       []wire.Message
 	txCache     [4]txBox
 	txCacheNext int
 
@@ -203,7 +190,6 @@ func (p *Process) run(tr transport) (any, error) {
 			}
 		}()
 	}
-	p.trEng, _ = tr.(*engine.Transport)
 	p.initialize()
 	if p.cfg.Mode == ModeLeaderless {
 		return p.mainLoopLeaderless()
@@ -620,48 +606,47 @@ func (p *Process) applyAccepted(accepted wire.Message, record bool) error {
 // acknowledgment phase (Listing 2 lines 10–23). It returns the accepted
 // message, or restart=true when an error or reset interrupted the exchange.
 func (p *Process) acceptedMessage(orig wire.Message) (wire.Message, bool, error) {
-	vhtMsg, restart, err := p.broadcastPhase(orig)
+	vhtMsg, restart, err := p.broadcastPhase(p.boxFor(orig))
 	if err != nil || restart {
-		return vhtMsg, restart, err
+		return *vhtMsg, restart, err
 	}
 	if p.cfg.Mode == ModeLeaderless {
 		// Reliable broadcast: the result is the accepted message.
-		return vhtMsg, false, nil
+		return *vhtMsg, false, nil
 	}
-	var ack wire.Message
+	ackOrig := boxedNull
 	if p.input.Leader {
-		ack, restart, err = p.broadcastPhase(vhtMsg)
-	} else {
-		ack, restart, err = p.broadcastPhase(wire.Null())
+		ackOrig = vhtMsg
 	}
+	ack, restart, err := p.broadcastPhase(ackOrig)
 	if err != nil || restart {
-		return ack, restart, err
+		return *ack, restart, err
 	}
-	if ack != vhtMsg {
+	if !wire.Equal(*ack, *vhtMsg) {
 		// Faulty broadcast detected (Listing 2 lines 21–23).
 		if err := p.enterErrorPhase(p.detectTarget()); err != nil {
-			return ack, false, err
+			return *ack, false, err
 		}
-		return ack, true, nil
+		return *ack, true, nil
 	}
-	return ack, false, nil
+	return *ack, false, nil
 }
 
 // initiateHalt implements the Section 5 simultaneous-termination protocol
 // from the leader's side: broadcast Halt(n, c) and keep forwarding until
 // round c+n, then halt.
 func (p *Process) initiateHalt(n int) error {
-	return p.haltForward(wire.Halt(int64(n), int64(p.tr.Round())))
+	return p.haltForward(p.boxFor(wire.Halt(int64(n), int64(p.tr.Round()))))
 }
 
 // haltForward forwards a received (or just created) Halt message until
-// round c+n and then unwinds with a haltedError carrying the result.
-func (p *Process) haltForward(m wire.Message) error {
-	final := int(m.A + m.B) // n + starting round
-	for p.tr.Round() < final {
-		if _, err := p.sendAndReceive(m); err != nil {
-			return err
-		}
+// round c+n and then unwinds with a haltedError carrying the result. It is
+// a relay with no stop: nothing outranks a Halt, so the process keeps
+// sending the one it holds whatever it receives.
+func (p *Process) haltForward(mp *wire.Message) error {
+	m := *mp
+	if _, err := p.relay(mp, int(m.A+m.B)-p.tr.Round(), nil); err != nil { // until n + starting round
+		return err
 	}
 	return &haltedError{n: int(m.A), round: p.tr.Round()}
 }

@@ -150,6 +150,7 @@ func run(ecfg engine.Config, n int, inputs []historytree.Input, cfg Config, opts
 	}
 	ecfg.Deadline = opts.Deadline
 	ecfg.SizeOf = newSizeMemo()
+	ecfg.Higher = higherBoxed
 	ecfg.BitLimit = opts.BitLimit
 	ecfg.Trace = opts.Trace
 	if cfg.Mode == ModeLeader && !cfg.SimultaneousHalt {

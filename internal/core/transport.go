@@ -12,6 +12,7 @@ import (
 // T-union-connected extension.
 type transport interface {
 	SendAndReceive(m engine.Message) ([]engine.Message, error)
+	Relay(m engine.Message, blocks, block int, stop func(engine.Message) bool) (engine.Message, error)
 	Round() int
 	PID() int
 }
@@ -51,6 +52,12 @@ func (b *blockTransport) SendAndReceive(m engine.Message) ([]engine.Message, err
 	return acc, nil
 }
 
+// Relay runs the relay on virtual rounds: each block spans T times as many
+// real rounds, and the held message is published only at the end of one.
+func (b *blockTransport) Relay(m engine.Message, blocks, block int, stop func(engine.Message) bool) (engine.Message, error) {
+	return b.inner.Relay(m, blocks, block*b.t, stop)
+}
+
 // Round returns the number of completed virtual rounds.
 func (b *blockTransport) Round() int { return b.inner.Round() / b.t }
 
@@ -58,75 +65,25 @@ func (b *blockTransport) Round() int { return b.inner.Round() / b.t }
 func (b *blockTransport) PID() int { return b.inner.PID() }
 
 // nullValue / boxedNull are the Null message and its pre-boxed interface
-// value: every non-leader acknowledgment round sends Null, so the box is
+// value: every non-leader acknowledgment phase sends Null, so the box is
 // shared simulation-wide instead of re-allocated.
 //
 // Boxes are pointers. *wire.Message is a direct-interface type, so asserting
 // a delivery costs a pointer load instead of the 48-byte struct copy that a
 // value box would force, and two deliveries of the same box compare equal by
 // a single pointer comparison. The pointee is never mutated after the box is
-// published (boxFor copies the value in before handing the box out).
+// published (boxFor copies the value in before handing the box out), so a
+// relay can hand the box it ends on straight to the next phase: one
+// origination travels the network as a single shared box.
 var (
 	nullValue = wire.Null()
 	boxedNull = &nullValue
 )
 
-// broadcast sends m (through the box cache) and returns the raw engine
-// deliveries. The returned slice is retained in rxRaw so boxFor can recycle
-// the received boxes at the next send; it is read strictly before the next
-// SendAndReceive, inside the engine's inbox validity window.
-func (p *Process) broadcast(m wire.Message) ([]engine.Message, error) {
-	// Boxing m into the engine.Message interface heap-allocates. Priority
-	// broadcast re-sends the same message for up to Θ(n²) consecutive
-	// rounds, so reusing the previous round's box when the value is
-	// unchanged removes one allocation per process per round — formerly a
-	// third of the simulation's total allocation count. When the value did
-	// change, boxFor still usually avoids the allocation by adopting a box
-	// received last round (broadcasts mostly echo a received message). A
-	// box is never mutated (the struct is copied into it), so the engine
-	// may keep referencing it after a newer message replaces it.
-	if p.txBoxed == nil || !wire.Equal(p.txLast, m) {
-		p.txBoxed = p.boxFor(m)
-		p.txLast = m
-	}
-	return p.send()
-}
-
-// broadcastPtr is broadcast for a message already held in an immutable heap
-// box (one minted by boxFor, delivered by the engine, or allocated by
-// receiveTopPtr's fallback — never a pointer to a caller's local). In the
-// broadcast steady state the caller re-sends the box it adopted last round,
-// so the unchanged-message check is a single pointer comparison; a box with
-// a merely equal value keeps the currently published box, preserving box
-// identity for the engine's pointer-keyed size memo.
-func (p *Process) broadcastPtr(mp *wire.Message) ([]engine.Message, error) {
-	if p.txBoxed == nil || (p.txBoxed != mp && !wire.Equal(*p.txBoxed, *mp)) {
-		p.txBoxed = mp
-		p.txLast = *mp
-	}
-	return p.send()
-}
-
-// send transmits the cached box and retains the raw deliveries in rxRaw.
-func (p *Process) send() ([]engine.Message, error) {
-	var raw []engine.Message
-	var err error
-	if p.trEng != nil {
-		raw, err = p.trEng.SendAndReceive(p.txBoxed)
-	} else {
-		raw, err = p.tr.SendAndReceive(p.txBoxed)
-	}
-	if err != nil {
-		return nil, err
-	}
-	p.rxRaw = raw
-	return raw, nil
-}
-
-// sendAndReceive broadcasts a protocol message and converts the received
-// engine messages back to wire messages.
+// sendAndReceive broadcasts a protocol message for one round and converts
+// the received engine messages back to wire messages.
 func (p *Process) sendAndReceive(m wire.Message) ([]wire.Message, error) {
-	raw, err := p.broadcast(m)
+	raw, err := p.tr.SendAndReceive(p.boxFor(m))
 	if err != nil {
 		return nil, err
 	}
@@ -148,69 +105,50 @@ func (p *Process) sendAndReceive(m wire.Message) ([]wire.Message, error) {
 	return out, nil
 }
 
-// receiveTopPtr broadcasts the boxed message *mp and folds the deliveries
-// into the highest-priority message among it and everything received, in a
-// single pass over the raw engine messages. Broadcast steps dominate the
-// protocol's rounds and only need that maximum, so skipping the
-// materialized []wire.Message conversion (and its second scan) measurably
-// shortens the hot loop.
-//
-// The returned pointer is always an immutable heap box (the sent box, a
-// received engine box, or a fresh copy of a value-boxed maximum), so the
-// caller may feed it straight back into the next round: one origination
-// propagates through the network as a single shared box, and after its
-// wave has passed, every comparison in this loop is settled by pointer
-// identity alone.
-func (p *Process) receiveTopPtr(mp *wire.Message) (*wire.Message, error) {
-	raw, err := p.broadcastPtr(mp)
+// relay runs steps BroadcastSteps (Listing 3 lines 20–26) from the boxed
+// message mp as one engine relay: each (virtual) round the process sends
+// the message it holds and keeps the highest-priority one among it and
+// everything received, under higherBoxed. It ends early after a step
+// whose result satisfies stop, and returns the box it holds at the end
+// (mp itself when steps < 1).
+func (p *Process) relay(mp *wire.Message, steps int, stop func(engine.Message) bool) (*wire.Message, error) {
+	top, err := p.tr.Relay(mp, steps, 1, stop)
 	if err != nil {
 		return mp, err
 	}
-	// broadcastPtr published a box holding a value equal to *mp (usually mp
-	// itself); seeding top with the published box lets deliveries that
-	// relay it — every neighbor, in steady-state broadcast — settle on the
-	// pointer comparison below without touching the fields.
-	top := p.txBoxed
-	// topv shadows *top so the per-delivery comparisons below read a
-	// stack-resident copy instead of chasing the box pointer ~degree times
-	// per round; it is refreshed whenever top moves.
-	topv := *top
-	for _, r := range raw {
-		pm, ok := r.(*wire.Message)
-		if !ok {
-			// Value-boxed delivery from a stub transport (never the engine).
-			wm, ok := wire.FromBox(r)
-			if !ok {
-				return mp, fmt.Errorf("core: received non-protocol message %T", r)
-			}
-			if Higher(wm, topv) {
-				// Copy into a fresh box: the result may be re-broadcast and
-				// pointer-cached downstream, so it must never alias mutable
-				// storage. Cold path — the engine always delivers pointers.
-				hp := new(wire.Message)
-				*hp = wm
-				top, topv = hp, wm
-			}
-			continue
-		}
-		// An equal message can never be strictly higher, so the struct
-		// comparison spares the full priority comparison for boxes that
-		// arrive with equal values under distinct identities (wave fronts).
-		if pm == top || wire.Equal(*pm, topv) {
-			continue
-		}
-		if Higher(*pm, topv) {
-			top, topv = pm, *pm
-		}
-	}
-	return top, nil
+	// higherBoxed only ever adopts a *wire.Message, so the relay ends on
+	// mp or on one of those.
+	return top.(*wire.Message), nil
+}
+
+// higherBoxed is Higher on engine messages, the engine's relay order (see
+// engine.Config.Higher). Every message of a run is a box minted by boxFor,
+// and boxes are immutable, so one box never outranks itself and the shared
+// box of a relayed wave settles on a pointer comparison.
+func higherBoxed(a, b engine.Message) bool {
+	pa, okA := a.(*wire.Message)
+	pb, okB := b.(*wire.Message)
+	return okA && okB && pa != pb && Higher(*pa, *pb)
+}
+
+// Relay stop predicates. Halt outranks everything, so a relay that holds
+// one has nothing left to learn and hands over to haltForward; an error
+// phase also ends once a Reset has reached it.
+func isHalt(m engine.Message) bool {
+	pm, ok := m.(*wire.Message)
+	return ok && pm.Label == wire.LabelHalt
+}
+
+func isResetOrHalt(m engine.Message) bool {
+	pm, ok := m.(*wire.Message)
+	return ok && (pm.Label == wire.LabelReset || pm.Label == wire.LabelHalt)
 }
 
 // boxFor returns an immutable heap box holding m, preferring an existing
-// box over a fresh allocation: the shared Null box, a recently created box
-// (txCache — a process re-proposes the same Edge/Done at the start of every
-// broadcast phase until it is accepted, so its own origination repeats many
-// times), or one received last round.
+// box over a fresh allocation: the shared Null box, or a recently created
+// box (txCache — a process re-proposes the same Edge/Done at the start of
+// every broadcast phase until it is accepted, so its own origination
+// repeats many times).
 func (p *Process) boxFor(m wire.Message) *wire.Message {
 	if wire.Equal(m, nullValue) {
 		return boxedNull
@@ -218,11 +156,6 @@ func (p *Process) boxFor(m wire.Message) *wire.Message {
 	for i := range p.txCache {
 		if p.txCache[i].box != nil && wire.Equal(p.txCache[i].m, m) {
 			return p.txCache[i].box
-		}
-	}
-	for _, r := range p.rxRaw {
-		if pm, ok := r.(*wire.Message); ok && wire.Equal(*pm, m) {
-			return pm
 		}
 	}
 	pm := new(wire.Message)

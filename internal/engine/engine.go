@@ -9,6 +9,15 @@
 // to the schedule, and accounts for message sizes so congestion bounds can
 // be asserted.
 //
+// Token forwarding — each round, send the one message held and keep the
+// highest-priority one among it and everything received — runs inside the
+// runner: Transport.Relay parks the process for a whole multi-round phase
+// and the router folds each round's deliveries into the held message under
+// Config.Higher, with no inbox built and no switch into the process until
+// the phase ends. A relayed phase is observably identical to the same phase
+// written as per-round SendAndReceive calls: same messages sent, same
+// accounting, same schedule and Trace calls.
+//
 // One runner executes every run: each process is a pull coroutine, resumed
 // one at a time by direct coroutine switch — no channels, no scheduler
 // queueing, no contention — so the per-round cost is the protocol's own work
@@ -130,6 +139,13 @@ type Config struct {
 	// sizes are not tracked and BitLimit is ignored. It is never invoked
 	// concurrently.
 	SizeOf func(Message) int
+	// Higher is the priority order of Transport.Relay: it reports whether
+	// a strictly outranks b. It must be a strict order (irreflexive and
+	// transitive); messages that compare equal may still differ, and the
+	// fold then keeps the one that came first, exactly as a per-round loop
+	// over the inbox would. Runs whose processes never call Relay leave it
+	// nil. It is never invoked concurrently.
+	Higher func(a, b Message) bool
 	// BitLimit, when positive and SizeOf is set, aborts the run with a
 	// *BitLimitError as soon as any message exceeds it.
 	BitLimit int
@@ -214,6 +230,8 @@ func RunContext(ctx context.Context, cfg Config, procs []Coroutine) (*Result, er
 		yield:   make([]func(struct{}) bool, n),
 		inbox:   make([][]Message, n),
 		done:    make([]seqDone, n),
+		held:    make([]Message, n),
+		relays:  make([]relayState, n),
 	}
 	return s.run(procs)
 }
@@ -221,10 +239,15 @@ func RunContext(ctx context.Context, cfg Config, procs []Coroutine) (*Result, er
 type procState int
 
 const (
-	stateRunning procState = iota + 1
-	stateWaiting           // submitted this round, blocked on delivery
-	stateDone              // returned an output
+	stateRunning  procState = iota + 1
+	stateWaiting            // submitted this round, blocked on delivery
+	stateRelaying           // parked in Relay for a multi-round phase
+	stateDone               // returned an output
 )
+
+// sends reports whether a process in this state takes part in the round:
+// it has a message out and receives its neighbours'.
+func (s procState) sends() bool { return s == stateWaiting || s == stateRelaying }
 
 // Transport is the per-process communication endpoint handed to
 // Coroutine.Run.
@@ -254,4 +277,28 @@ func (t *Transport) Round() int { return t.round }
 // rounds. Processes that need deliveries across rounds must copy them.
 func (t *Transport) SendAndReceive(msg Message) ([]Message, error) {
 	return t.run.sendAndReceive(t, msg)
+}
+
+// Relay runs a token-forwarding phase of blocks·block rounds. The process
+// holds msg and publishes it; every round it receives its neighbours'
+// published messages and keeps the highest-priority one under
+// Config.Higher among what it holds and what it received (on a tie the
+// held or earlier-delivered message stays, in the canonical delivery order
+// of SendAndReceive). The held message is published — sent from the next
+// round on — only at the end of each block of block rounds, which is the
+// block simulation of T-union-connected networks; block 1 publishes every
+// round.
+//
+// After each block, stop (if non-nil) is called on the held message; the
+// phase ends early when it returns true. Relay returns the held message at
+// the phase's end, or ErrStopped when the run was cancelled meanwhile.
+// blocks < 1 returns msg at once without communicating.
+//
+// The process stays parked for the whole phase: the router accounts, routes
+// and traces each round exactly as if the process called SendAndReceive
+// every round, but folds its deliveries directly and resumes it only when
+// the phase ends. stop runs on the runner's goroutine while the process is
+// parked, so it must be a pure function of its argument.
+func (t *Transport) Relay(msg Message, blocks, block int, stop func(Message) bool) (Message, error) {
+	return t.run.relay(t, msg, blocks, block, stop)
 }

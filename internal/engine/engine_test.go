@@ -332,28 +332,47 @@ func quietProc(rounds int) Coroutine {
 
 // TestSchedulerSteadyStateAllocs gates per-round allocations: once the
 // router's double-buffered delivery backings have grown to the round's
-// working set, additional rounds must be allocation-free. The gate is the
-// *difference* between a long and a short run, so per-run setup (runner,
-// coroutines) cancels out.
+// working set, additional rounds must be allocation-free — both rounds of
+// SendAndReceive and rounds where every process is parked in one Relay.
+// The gate is the *difference* between a long and a short run, so per-run
+// setup (runner, coroutines) cancels out.
 func TestSchedulerSteadyStateAllocs(t *testing.T) {
 	const extra = 100
-	measure := func(rounds int) float64 {
-		return testing.AllocsPerRun(5, func() {
-			procs := make([]Coroutine, 8)
-			for pid := range procs {
-				procs[pid] = quietProc(rounds)
-			}
-			cfg := Config{Schedule: dynnet.NewStatic(dynnet.Complete(8)), MaxRounds: rounds + 1}
-			if _, err := Run(cfg, procs); err != nil {
-				t.Error(err)
-			}
+	relayProc := func(rounds int) Coroutine {
+		return CoroutineFunc(func(tr *Transport) (any, error) {
+			_, err := tr.Relay(7, rounds, 1, nil)
+			return nil, err
 		})
 	}
-	short := measure(10)
-	long := measure(10 + extra)
-	if perRound := (long - short) / extra; perRound > 0.5 {
-		t.Errorf("%.2f allocs per steady-state round (short=%.0f long=%.0f), want ~0",
-			perRound, short, long)
+	for _, c := range []struct {
+		name  string
+		proc  func(rounds int) Coroutine
+		bound float64
+	}{
+		{name: "send-and-receive", proc: quietProc, bound: 0.5},
+		// A relay round touches no per-process state the runner has to
+		// grow: exactly zero.
+		{name: "relay", proc: relayProc, bound: 0},
+	} {
+		measure := func(rounds int) float64 {
+			return testing.AllocsPerRun(5, func() {
+				procs := make([]Coroutine, 8)
+				for pid := range procs {
+					procs[pid] = c.proc(rounds)
+				}
+				cfg := Config{Schedule: dynnet.NewStatic(dynnet.Complete(8)), MaxRounds: rounds + 1,
+					Higher: func(a, b Message) bool { return a.(int) > b.(int) }}
+				if _, err := Run(cfg, procs); err != nil {
+					t.Error(err)
+				}
+			})
+		}
+		short := measure(10)
+		long := measure(10 + extra)
+		if perRound := (long - short) / extra; perRound > c.bound {
+			t.Errorf("%s: %.2f allocs per steady-state round (short=%.0f long=%.0f), want ≤ %g",
+				c.name, perRound, short, long, c.bound)
+		}
 	}
 }
 

@@ -7,13 +7,16 @@ import (
 )
 
 // router computes one round's deliveries: congestion accounting, schedule
-// lookup, degree pre-sizing and the parity-double-buffered inbox
-// carve-out. A steady-state round performs at most one allocation (growing
-// a delivery backing array).
+// lookup, degree pre-sizing and the parity-double-buffered inbox carve-out
+// for processes in SendAndReceive, and the priority fold for processes in
+// Relay. A steady-state round performs at most one allocation (growing a
+// delivery backing array); an all-relay round performs none.
 //
-// The per-pid state slice uses the runner's convention: a process
-// participates in the round iff its state is stateWaiting, and pending[pid]
-// holds its submitted message.
+// The per-pid state slice uses the runner's convention: a process sends in
+// the round iff its state is stateWaiting or stateRelaying, and
+// pending[pid] holds its submitted (for a relay, its published) message.
+// stateWaiting processes receive an inbox; stateRelaying ones fold their
+// deliveries into held[pid].
 type router struct {
 	cfg *Config
 	n   int
@@ -64,14 +67,14 @@ func newRouter(cfg *Config, n int) *router {
 }
 
 // route completes one round: it accounts message sizes, routes the pending
-// messages of every stateWaiting process along the round's multigraph, and
-// invokes the Trace hook. The returned per-pid inbox slices are carved out
-// of the round-parity backing array and stay valid until the same parity's
-// next route call.
-func (rt *router) route(state []procState, pending []Message, res *Result) ([][]Message, error) {
+// messages of every sending process along the round's multigraph, and
+// invokes the Trace hook. The returned per-pid inbox slices of
+// stateWaiting processes are carved out of the round-parity backing array
+// and stay valid until the same parity's next route call; stateRelaying
+// processes get no inbox, their deliveries are folded into held instead.
+func (rt *router) route(state []procState, pending, held []Message, res *Result) ([][]Message, error) {
 	rt.round++
 
-	out := rt.outHeads
 	sent := rt.sent[:0]
 	// sentByPID only feeds the adaptive adversary; skip maintaining it
 	// otherwise.
@@ -82,12 +85,16 @@ func (rt *router) route(state []procState, pending []Message, res *Result) ([][]
 			sentByPID[pid] = nil
 		}
 	}
-	waiting := 0
+	waiting, relaying := 0, 0
 	for pid, s := range state {
-		if s != stateWaiting {
+		switch s {
+		case stateWaiting:
+			waiting++
+		case stateRelaying:
+			relaying++
+		default:
 			continue
 		}
-		waiting++
 		msg := pending[pid]
 		sent = append(sent, msg)
 		if adaptive {
@@ -121,37 +128,50 @@ func (rt *router) route(state []procState, pending []Message, res *Result) ([][]
 			g.N(), rt.round, rt.n)
 	}
 
-	// Pre-size every inbox by the process's degree in the round's
-	// multigraph (counting multiplicities), then carve all inboxes out of
-	// one backing array. The backing arrays alternate by round parity: a
-	// process may legitimately keep reading its previous round's inbox
-	// slice until its next SendAndReceive (see the Transport contract), so
-	// the buffer written this round must not be the one delivered last
-	// round. When every process participates (the common case until
-	// termination), both passes skip the per-endpoint liveness checks.
 	links := g.CanonicalLinks()
+	var out [][]Message
+	if waiting > 0 {
+		out = rt.carve(links, state, pending)
+	}
+	if relaying > 0 {
+		rt.fold(links, state, pending, held)
+	}
+
+	if rt.cfg.Trace != nil {
+		rt.cfg.Trace(rt.round, sent)
+	}
+	return out, nil
+}
+
+// carve delivers the round to the stateWaiting processes. It pre-sizes
+// every inbox by the process's degree in the round's multigraph (counting
+// multiplicities), then carves all inboxes out of one backing array. The
+// backing arrays alternate by round parity: a process may legitimately
+// keep reading its previous round's inbox slice until its next
+// SendAndReceive (see the Transport contract), so the buffer written this
+// round must not be the one delivered last round. A link delivers only
+// between two sending processes; a relaying endpoint receives through its
+// fold instead.
+func (rt *router) carve(links []dynnet.Link, state []procState, pending []Message) [][]Message {
+	out := rt.outHeads
 	deg := rt.degree
 	for pid := range deg {
 		deg[pid] = 0
 	}
 	total := 0
-	all := waiting == rt.n
 	for _, l := range links {
-		uAlive := all || state[l.U] == stateWaiting
-		vAlive := all || state[l.V] == stateWaiting
-		if l.U == l.V {
-			if uAlive {
-				deg[l.U] += l.Mult
-				total += l.Mult
-			}
+		su, sv := state[l.U], state[l.V]
+		if l.U != l.V && (!su.sends() || !sv.sends()) {
 			continue
 		}
-		if uAlive && vAlive {
+		if su == stateWaiting {
 			deg[l.U] += l.Mult
-			deg[l.V] += l.Mult
-			total += 2 * l.Mult
+			total += l.Mult
 		}
-		// A terminated endpoint neither sends nor receives.
+		if sv == stateWaiting && l.U != l.V {
+			deg[l.V] += l.Mult
+			total += l.Mult
+		}
 	}
 	backing := rt.backings[rt.round&1]
 	if cap(backing) < total {
@@ -178,34 +198,53 @@ func (rt *router) route(state []procState, pending []Message, res *Result) ([][]
 	}
 
 	for _, l := range links {
-		uAlive := all || state[l.U] == stateWaiting
-		vAlive := all || state[l.V] == stateWaiting
-		if l.U == l.V {
-			if uAlive {
-				pu, mu := pos[l.U], pending[l.U]
-				for k := 0; k < l.Mult; k++ {
-					backing[pu] = mu
-					pu++
-				}
-				pos[l.U] = pu
-			}
+		su, sv := state[l.U], state[l.V]
+		if l.U != l.V && (!su.sends() || !sv.sends()) {
 			continue
 		}
-		if uAlive && vAlive {
-			pu, pv := pos[l.U], pos[l.V]
-			mu, mv := pending[l.U], pending[l.V]
+		if su == stateWaiting {
+			pu, mv := pos[l.U], pending[l.V]
 			for k := 0; k < l.Mult; k++ {
 				backing[pu] = mv
 				pu++
+			}
+			pos[l.U] = pu
+		}
+		if sv == stateWaiting && l.U != l.V {
+			pv, mu := pos[l.V], pending[l.U]
+			for k := 0; k < l.Mult; k++ {
 				backing[pv] = mu
 				pv++
 			}
-			pos[l.U], pos[l.V] = pu, pv
+			pos[l.V] = pv
 		}
 	}
+	return out
+}
 
-	if rt.cfg.Trace != nil {
-		rt.cfg.Trace(rt.round, sent)
+// fold delivers the round to the stateRelaying processes: one sweep over
+// the links in canonical order replaces held[pid] with each delivery that
+// strictly outranks it. A process sees its deliveries in the same order as
+// its inbox would list them, and a strict maximum ignores repeats, so the
+// result is the per-round loop's "keep the highest of what I hold and what
+// I received" — multiplicities and all. Every process reads its
+// neighbours' pending (published) messages, which no fold writes.
+func (rt *router) fold(links []dynnet.Link, state []procState, pending, held []Message) {
+	higher := rt.cfg.Higher
+	for _, l := range links {
+		u, v := l.U, l.V
+		su, sv := state[u], state[v]
+		// A self-loop delivers the process its own published message, which
+		// never outranks what it holds: held starts a block equal to it
+		// and only rises.
+		if u == v || !su.sends() || !sv.sends() {
+			continue
+		}
+		if su == stateRelaying && higher(pending[v], held[u]) {
+			held[u] = pending[v]
+		}
+		if sv == stateRelaying && higher(pending[u], held[v]) {
+			held[v] = pending[u]
+		}
 	}
-	return out, nil
 }

@@ -40,7 +40,7 @@ const (
 // spending over a quarter of total CPU inside the runtime scheduler.
 //
 // The strict control-transfer discipline is also the memory model: every
-// shared field (state, pending, inbox, counters) is only touched by the
+// shared field (state, pending, inbox, held, counters) is only touched by the
 // currently running coroutine, and each switch orders the writes for the
 // next one (iter.Pull guarantees the iterator and its caller never run
 // concurrently).
@@ -64,6 +64,11 @@ type seqRunner struct {
 	inbox [][]Message
 	done  []seqDone
 
+	// held is each relaying process's highest-priority message so far,
+	// folded by the router; relays is the rest of its phase (see Relay).
+	held   []Message
+	relays []relayState
+
 	// alive counts processes that have not returned; it is maintained
 	// incrementally (no census scans).
 	alive int
@@ -74,6 +79,14 @@ type seqRunner struct {
 	stopping bool
 
 	runErr error
+}
+
+// relayState is the progress of one process's Relay phase.
+type relayState struct {
+	left  int // blocks still to run, the current one included
+	block int // rounds per block
+	pos   int // rounds run in the current block
+	stop  func(Message) bool
 }
 
 // sendAndReceive is Transport.SendAndReceive: record the submission, switch
@@ -91,6 +104,47 @@ func (s *seqRunner) sendAndReceive(t *Transport, msg Message) ([]Message, error)
 	}
 	t.round++
 	return s.inbox[t.pid], nil
+}
+
+// relay is Transport.Relay: record the phase, park the process for all of
+// it, and continue once the runner's endRelayRound has ended it.
+func (s *seqRunner) relay(t *Transport, msg Message, blocks, block int, stop func(Message) bool) (Message, error) {
+	switch {
+	case s.stopping:
+		return nil, ErrStopped
+	case block < 1:
+		return nil, fmt.Errorf("engine: relay block length %d, want ≥ 1", block)
+	case s.cfg.Higher == nil:
+		return nil, errors.New("engine: Relay needs Config.Higher")
+	case blocks < 1:
+		return msg, nil
+	}
+	s.relays[t.pid] = relayState{left: blocks, block: block, stop: stop}
+	s.held[t.pid] = msg
+	s.pending[t.pid] = msg
+	s.state[t.pid] = stateRelaying
+	start := s.rt.round
+	if !s.yield[t.pid](struct{}{}) {
+		return nil, ErrStopped
+	}
+	// The runner resumes the process right after the round that ended
+	// the phase.
+	t.round += s.rt.round - start
+	return s.held[t.pid], nil
+}
+
+// endRelayRound advances a relaying process past one routed round: at a
+// block end it publishes the held message and reports whether the phase is
+// over (blocks exhausted or stop fired).
+func (s *seqRunner) endRelayRound(pid int) bool {
+	r := &s.relays[pid]
+	if r.pos++; r.pos < r.block {
+		return false
+	}
+	r.pos = 0
+	r.left--
+	s.pending[pid] = s.held[pid]
+	return r.left == 0 || (r.stop != nil && r.stop(s.held[pid]))
 }
 
 // startProc creates the pull coroutine for one process. The body captures
@@ -160,9 +214,11 @@ func (s *seqRunner) run(procs []Coroutine) (*Result, error) {
 	// Round loop: every live process is parked with a submission, so the
 	// barrier holds by construction — route, then deliver to each waiting
 	// process in pid order, regaining control after each one's next
-	// submission. A process resumed mid-sweep re-submits at its own index,
-	// which the sweep has already passed, so it is never redelivered within
-	// the round.
+	// submission. A relaying process is resumed only when its phase ends,
+	// at its place in the same pid-order sweep, so resume order is that of
+	// a per-round loop. A process resumed mid-sweep re-submits at its own
+	// index, which the sweep has already passed, so it is never redelivered
+	// within the round.
 	for s.runErr == nil && s.alive > 0 {
 		if err := s.ctx.Err(); err != nil {
 			s.runErr = fmt.Errorf("engine: run cancelled: %w", context.Cause(s.ctx))
@@ -172,7 +228,7 @@ func (s *seqRunner) run(procs []Coroutine) (*Result, error) {
 			s.runErr = err
 			break
 		}
-		out, err := s.rt.route(s.state, s.pending, res)
+		out, err := s.rt.route(s.state, s.pending, s.held, res)
 		if err != nil {
 			s.runErr = err
 			break
@@ -186,11 +242,17 @@ func (s *seqRunner) run(procs []Coroutine) (*Result, error) {
 		}
 		stopped := false
 		for pid := 0; pid < s.n; pid++ {
-			if s.state[pid] != stateWaiting {
+			switch s.state[pid] {
+			case stateWaiting:
+				s.inbox[pid] = out[pid]
+			case stateRelaying:
+				if !s.endRelayRound(pid) {
+					continue // still parked: its phase goes on
+				}
+			default:
 				continue
 			}
 			s.state[pid] = stateRunning
-			s.inbox[pid] = out[pid]
 			if s.resume(pid, res) == stepStop {
 				stopped = true
 				break
@@ -214,7 +276,7 @@ func (s *seqRunner) run(procs []Coroutine) (*Result, error) {
 func (s *seqRunner) unwind(res *Result) {
 	s.stopping = true
 	for pid := range s.state {
-		if s.state[pid] != stateWaiting {
+		if !s.state[pid].sends() {
 			continue
 		}
 		s.state[pid] = stateDone

@@ -72,7 +72,7 @@ func RunSteppersContext(ctx context.Context, cfg Config, steppers []Stepper) (*R
 				pending[pid] = st.Compose()
 			}
 		}
-		out, err := rt.route(state, pending, res)
+		out, err := rt.route(state, pending, nil, res)
 		if err != nil {
 			res.Rounds = rt.round
 			return res, err

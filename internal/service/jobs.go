@@ -177,8 +177,12 @@ func (j *Job) finishLocked(s JobState, r *Result, err error) {
 		j.metrics.JobsCancelled.Add(1)
 	case JobFailed:
 		j.metrics.JobsFailed.Add(1)
-		if errors.Is(err, engine.ErrWatchdog) {
+		var pe *engine.PanicError
+		switch {
+		case errors.Is(err, engine.ErrWatchdog):
 			j.metrics.JobsDeadlined.Add(1)
+		case errors.As(err, &pe):
+			j.metrics.JobsPanicked.Add(1)
 		}
 	}
 	j.publishLocked(Event{Type: "state", State: s, Error: j.err})

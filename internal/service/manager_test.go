@@ -270,6 +270,12 @@ func TestManagerProcessPanicFailsJob(t *testing.T) {
 	if got := m.Metrics.JobsFailed.Load(); got != 1 {
 		t.Fatalf("jobsFailed=%d, want 1", got)
 	}
+	if got := m.Metrics.JobsPanicked.Load(); got != 1 {
+		t.Fatalf("jobsPanicked=%d, want 1", got)
+	}
+	if got := m.Metrics.JobsDeadlined.Load(); got != 0 {
+		t.Fatalf("jobsDeadlined=%d, want 0", got)
+	}
 
 	m.run = JobSpec.Run
 	job, err = m.Submit(quickSpec(1))

@@ -23,6 +23,10 @@ type Metrics struct {
 	// JobsDeadlined counts the subset of failed jobs ended by the engine
 	// watchdog (a wedged run under out-of-model faults hit its deadline).
 	JobsDeadlined atomic.Int64
+	// JobsPanicked counts the subset of failed jobs ended by a panicking
+	// protocol process (an *engine.PanicError: an internal bug, not a
+	// broken model assumption).
+	JobsPanicked atomic.Int64
 	// CacheHits and CacheMisses count result-cache lookups at submit time.
 	// A hit means either tier answered (memory LRU or persistent store);
 	// CacheMisses counts specs that had to simulate.
@@ -60,6 +64,7 @@ type MetricsSnapshot struct {
 	JobsCancelled   int64 `json:"jobsCancelled"`
 	JobsFailed      int64 `json:"jobsFailed"`
 	JobsDeadlined   int64 `json:"jobsDeadlined"`
+	JobsPanicked    int64 `json:"jobsPanicked"`
 	CacheHits       int64 `json:"cacheHits"`
 	CacheMisses     int64 `json:"cacheMisses"`
 	StoreHits       int64 `json:"storeHits"`
@@ -88,6 +93,7 @@ func (m *Metrics) Snapshot() MetricsSnapshot {
 		JobsCancelled:        m.JobsCancelled.Load(),
 		JobsFailed:           m.JobsFailed.Load(),
 		JobsDeadlined:        m.JobsDeadlined.Load(),
+		JobsPanicked:         m.JobsPanicked.Load(),
 		CacheHits:            m.CacheHits.Load(),
 		CacheMisses:          m.CacheMisses.Load(),
 		StoreHits:            m.StoreHits.Load(),
