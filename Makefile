@@ -35,6 +35,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzSolverWitness$$' -fuzztime=$(FUZZTIME) ./internal/historytree
 	$(GO) test -run='^$$' -fuzz='^FuzzProtocolEquivalence$$' -fuzztime=$(FUZZTIME) ./internal/linear
 	$(GO) test -run='^$$' -fuzz='^FuzzViewSizer$$' -fuzztime=$(FUZZTIME) ./internal/linear
+	$(GO) test -run='^$$' -fuzz='^FuzzRelaySettled$$' -fuzztime=$(FUZZTIME) ./internal/engine
 
 # Run the benchmark-regression suite and record BENCH_PR9.json (see
 # EXPERIMENTS.md, "Perf appendix").

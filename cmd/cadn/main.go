@@ -24,12 +24,15 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"maps"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 
 	"anondyn"
 	"anondyn/internal/engine"
+	"anondyn/internal/historytree"
 	"anondyn/internal/service"
 	"anondyn/internal/trace"
 )
@@ -128,6 +131,14 @@ func buildSpec(n int, protocol, topology string, density float64, seed int64, bl
 	return spec, nil
 }
 
+// sortedInputs returns m's keys ordered by their rendering, so identical
+// runs print their per-input lines in the same order.
+func sortedInputs(m map[historytree.Input]int) []historytree.Input {
+	return slices.SortedFunc(maps.Keys(m), func(a, b historytree.Input) int {
+		return strings.Compare(a.String(), b.String())
+	})
+}
+
 // run executes the validated spec and prints the result.
 func run(spec service.JobSpec, showTree, traceOn bool, w io.Writer) error {
 	var logger *trace.Logger
@@ -146,15 +157,15 @@ func run(spec service.JobSpec, showTree, traceOn bool, w io.Writer) error {
 
 	if spec.Leaderless {
 		fmt.Fprintf(w, "frequencies (shares of minimal size %d):\n", res.Frequencies.MinSize)
-		for in, share := range res.Frequencies.Shares {
-			fmt.Fprintf(w, "  input %s: %d/%d\n", in, share, res.Frequencies.MinSize)
+		for _, in := range sortedInputs(res.Frequencies.Shares) {
+			fmt.Fprintf(w, "  input %s: %d/%d\n", in, res.Frequencies.Shares[in], res.Frequencies.MinSize)
 		}
 	} else {
 		fmt.Fprintf(w, "n = %d\n", res.N)
 		if len(res.Multiset) > 0 {
 			fmt.Fprintln(w, "input multiset:")
-			for in, c := range res.Multiset {
-				fmt.Fprintf(w, "  %s: %d\n", in, c)
+			for _, in := range sortedInputs(res.Multiset) {
+				fmt.Fprintf(w, "  %s: %d\n", in, res.Multiset[in])
 			}
 		}
 	}

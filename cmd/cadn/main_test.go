@@ -206,8 +206,8 @@ func TestValidateFlagCombinations(t *testing.T) {
 
 // TestProtocolGoldenOutput pins the exact CLI output of both protocol
 // backends on one fixed seed — the user-visible face of the rounds-vs-bits
-// tradeoff. Multiset lines are map-ordered, so they are sorted before the
-// comparison; everything else must match byte for byte.
+// tradeoff. The output must match byte for byte, multiset lines (printed
+// sorted by input) included.
 func TestProtocolGoldenOutput(t *testing.T) {
 	tests := []struct {
 		name string
@@ -244,13 +244,8 @@ sharing: applies=35 hits=131 forks=0
 			if code := realMain(tt.args, &out, &errOut); code != 0 {
 				t.Fatalf("exit code %d (stderr: %s)", code, errOut.String())
 			}
-			got := strings.Split(out.String(), "\n")
-			// Lines 2 and 3 are the two multiset entries; order them.
-			if len(got) > 3 && got[2] > got[3] {
-				got[2], got[3] = got[3], got[2]
-			}
-			if joined := strings.Join(got, "\n"); joined != tt.want {
-				t.Fatalf("output mismatch:\n got: %q\nwant: %q", joined, tt.want)
+			if got := out.String(); got != tt.want {
+				t.Fatalf("output mismatch:\n got: %q\nwant: %q", got, tt.want)
 			}
 		})
 	}

@@ -21,7 +21,9 @@ import (
 // process (the leader) at the other, so the top message crawls one hop per
 // round. It keeps the network connected at every round, as the Section 3
 // algorithm requires, so the protocol must still terminate — after driving
-// DiamEstimate to its Θ(n) ceiling (Lemma 4.7).
+// DiamEstimate to its Θ(n) ceiling (Lemma 4.7). Its graph depends on the
+// round's sent messages, so, like every adaptive adversary, the engine
+// asks it for every round.
 type Isolator struct {
 	n      int
 	target int
@@ -91,7 +93,9 @@ func (a *Isolator) Graph(_ int, sent []engine.Message) *dynnet.Multigraph {
 // which must fire the error/reset machinery of Section 4: the protocol
 // survives (the network stays connected every round) but only after ≥ 1
 // leader reset doubles the estimate. It is the adaptive-adversary
-// counterpart of the oblivious spike fault (faults.DiamSpike).
+// counterpart of the oblivious spike fault (faults.DiamSpike). It keeps
+// state across rounds and reads their sent messages, so the engine asks
+// it for every round.
 type DiamSpiker struct {
 	n       int
 	spiking bool

@@ -35,12 +35,36 @@ type InPlaceSchedule interface {
 	GraphInto(t int, g *Multigraph)
 }
 
+// PureSchedule is an optional Schedule extension for schedules whose graph
+// depends on the round number alone. PureInT reports whether that holds:
+// Graph(t) returns the same graph however many rounds were asked for
+// before, in whatever order, and asking has no other effect. The engine
+// then may leave out the graph of a round whose deliveries cannot change
+// any process (see engine.Transport.Relay). Wrappers forward their inner
+// schedule's answer; a schedule that does not implement the method is
+// asked for every round.
+type PureSchedule interface {
+	Schedule
+	// PureInT reports whether Graph(t) is a pure function of t.
+	PureInT() bool
+}
+
+// Pure reports whether s promises that its graphs are a pure function of
+// the round number (see PureSchedule).
+func Pure(s Schedule) bool {
+	p, ok := s.(PureSchedule)
+	return ok && p.PureInT()
+}
+
 // StaticSchedule repeats a fixed multigraph at every round.
 type StaticSchedule struct {
 	g *Multigraph
 }
 
-var _ InPlaceSchedule = (*StaticSchedule)(nil)
+var (
+	_ InPlaceSchedule = (*StaticSchedule)(nil)
+	_ PureSchedule    = (*StaticSchedule)(nil)
+)
 
 // NewStatic returns a schedule that presents g at every round.
 func NewStatic(g *Multigraph) *StaticSchedule {
@@ -53,6 +77,9 @@ func (s *StaticSchedule) N() int { return s.g.N() }
 // Graph implements Schedule.
 func (s *StaticSchedule) Graph(int) *Multigraph { return s.g.Clone() }
 
+// PureInT implements PureSchedule: every round presents the same graph.
+func (s *StaticSchedule) PureInT() bool { return true }
+
 // GraphInto implements InPlaceSchedule: the fixed graph copied into g's
 // reused storage. The copy is installed pre-canonicalized, so a static
 // simulation round neither allocates nor re-sorts.
@@ -62,7 +89,9 @@ func (s *StaticSchedule) GraphInto(_ int, g *Multigraph) {
 	g.setCanonicalLinks(append(g.links, src...))
 }
 
-// FuncSchedule adapts a plain function to the Schedule interface.
+// FuncSchedule adapts a plain function to the Schedule interface. It is
+// never a PureSchedule: the function may keep state or count its calls,
+// so the engine asks it for every round.
 type FuncSchedule struct {
 	n int
 	f func(t int) *Multigraph
@@ -89,7 +118,7 @@ type SequenceSchedule struct {
 	graphs []*Multigraph
 }
 
-var _ Schedule = (*SequenceSchedule)(nil)
+var _ PureSchedule = (*SequenceSchedule)(nil)
 
 // NewSequence returns a schedule that presents graphs[t-1] at round t and
 // the final graph at every later round. All graphs must share a process
@@ -123,6 +152,10 @@ func (s *SequenceSchedule) Graph(t int) *Multigraph {
 	return s.graphs[t-1].Clone()
 }
 
+// PureInT implements PureSchedule: the list is fixed at construction and
+// Graph hands out clones.
+func (s *SequenceSchedule) PureInT() bool { return true }
+
 // RandomConnectedSchedule presents, at each round, an independently drawn
 // connected Erdős–Rényi-style graph: a uniformly random spanning tree plus
 // each remaining pair with probability p. Each round's graph is derived
@@ -134,7 +167,10 @@ type RandomConnectedSchedule struct {
 	seed int64
 }
 
-var _ InPlaceSchedule = (*RandomConnectedSchedule)(nil)
+var (
+	_ InPlaceSchedule = (*RandomConnectedSchedule)(nil)
+	_ PureSchedule    = (*RandomConnectedSchedule)(nil)
+)
 
 // NewRandomConnected returns a random connected schedule on n processes
 // with extra-edge probability p ∈ [0, 1].
@@ -155,6 +191,10 @@ func (s *RandomConnectedSchedule) Graph(t int) *Multigraph {
 	s.GraphInto(t, g)
 	return g
 }
+
+// PureInT implements PureSchedule: each round's generator is seeded by
+// (seed, t) alone, so skipping rounds changes no other round's graph.
+func (s *RandomConnectedSchedule) PureInT() bool { return true }
 
 // GraphInto implements InPlaceSchedule: the same graph as Graph(t), built
 // into g's reused storage.
@@ -542,7 +582,7 @@ type RotatingStarSchedule struct {
 	n int
 }
 
-var _ Schedule = (*RotatingStarSchedule)(nil)
+var _ PureSchedule = (*RotatingStarSchedule)(nil)
 
 // NewRotatingStar returns the rotating-star schedule on n processes.
 func NewRotatingStar(n int) *RotatingStarSchedule {
@@ -551,6 +591,9 @@ func NewRotatingStar(n int) *RotatingStarSchedule {
 
 // N implements Schedule.
 func (s *RotatingStarSchedule) N() int { return s.n }
+
+// PureInT implements PureSchedule: the star's center is t mod n.
+func (s *RotatingStarSchedule) PureInT() bool { return true }
 
 // Graph implements Schedule.
 func (s *RotatingStarSchedule) Graph(t int) *Multigraph {
@@ -567,7 +610,7 @@ type ShiftingPathSchedule struct {
 	n int
 }
 
-var _ Schedule = (*ShiftingPathSchedule)(nil)
+var _ PureSchedule = (*ShiftingPathSchedule)(nil)
 
 // NewShiftingPath returns the shifting-path schedule on n processes.
 func NewShiftingPath(n int) *ShiftingPathSchedule {
@@ -576,6 +619,9 @@ func NewShiftingPath(n int) *ShiftingPathSchedule {
 
 // N implements Schedule.
 func (s *ShiftingPathSchedule) N() int { return s.n }
+
+// PureInT implements PureSchedule: the path's rotation is t mod n.
+func (s *ShiftingPathSchedule) PureInT() bool { return true }
 
 // Graph implements Schedule.
 func (s *ShiftingPathSchedule) Graph(t int) *Multigraph {
@@ -598,7 +644,7 @@ type BottleneckSchedule struct {
 	n int
 }
 
-var _ Schedule = (*BottleneckSchedule)(nil)
+var _ PureSchedule = (*BottleneckSchedule)(nil)
 
 // NewBottleneck returns the two-clique bottleneck schedule on n processes
 // (n ≥ 2).
@@ -608,6 +654,10 @@ func NewBottleneck(n int) *BottleneckSchedule {
 
 // N implements Schedule.
 func (s *BottleneckSchedule) N() int { return s.n }
+
+// PureInT implements PureSchedule: the bridge's endpoints are derived
+// from t alone.
+func (s *BottleneckSchedule) PureInT() bool { return true }
 
 // Graph implements Schedule.
 func (s *BottleneckSchedule) Graph(t int) *Multigraph {
@@ -643,7 +693,7 @@ type UnionConnectedSchedule struct {
 	t     int
 }
 
-var _ Schedule = (*UnionConnectedSchedule)(nil)
+var _ PureSchedule = (*UnionConnectedSchedule)(nil)
 
 // NewUnionConnected returns a T-union-connected schedule derived from
 // inner. T must be positive.
@@ -656,6 +706,10 @@ func NewUnionConnected(inner Schedule, t int) (*UnionConnectedSchedule, error) {
 
 // N implements Schedule.
 func (s *UnionConnectedSchedule) N() int { return s.inner.N() }
+
+// PureInT implements PureSchedule by forwarding the inner schedule's
+// answer: round t reads only the inner graph of its block.
+func (s *UnionConnectedSchedule) PureInT() bool { return Pure(s.inner) }
 
 // T returns the dynamic disconnectivity of the schedule.
 func (s *UnionConnectedSchedule) T() int { return s.t }

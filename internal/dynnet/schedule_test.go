@@ -368,3 +368,40 @@ func TestRandomConnectedScheduleStableAcrossScratchReuse(t *testing.T) {
 		}
 	}
 }
+
+// TestPureSchedules pins which schedules promise graphs that are a pure
+// function of the round: the stateless built-ins do, a FuncSchedule never
+// does, and UnionConnectedSchedule forwards its inner schedule's answer.
+func TestPureSchedules(t *testing.T) {
+	seq, err := NewSequence(Path(3), Cycle(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fn := NewFunc(3, func(int) *Multigraph { return Path(3) })
+	unionOf := func(inner Schedule) Schedule {
+		u, err := NewUnionConnected(inner, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return u
+	}
+	for _, c := range []struct {
+		name  string
+		sched Schedule
+		want  bool
+	}{
+		{"static", NewStatic(Path(3)), true},
+		{"sequence", seq, true},
+		{"random", NewRandomConnected(3, 0.3, 1), true},
+		{"rotating-star", NewRotatingStar(3), true},
+		{"shifting-path", NewShiftingPath(3), true},
+		{"bottleneck", NewBottleneck(4), true},
+		{"func", fn, false},
+		{"union-of-random", unionOf(NewRandomConnected(3, 0.3, 1)), true},
+		{"union-of-func", unionOf(fn), false},
+	} {
+		if got := Pure(c.sched); got != c.want {
+			t.Errorf("%s: Pure = %v, want %v", c.name, got, c.want)
+		}
+	}
+}

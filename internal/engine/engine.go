@@ -16,7 +16,11 @@
 // Config.Higher, with no inbox built and no switch into the process until
 // the phase ends. A relayed phase is observably identical to the same phase
 // written as per-round SendAndReceive calls: same messages sent, same
-// accounting, same schedule and Trace calls.
+// accounting, same Trace calls. Once no published message outranks any
+// relaying process's held one, the fold can change nothing; while every
+// sender relays, such a settled round of a pure schedule (see
+// dynnet.PureSchedule) is accounted and traced without asking the schedule
+// for its graph.
 //
 // One runner executes every run: each process is a pull coroutine, resumed
 // one at a time by direct coroutine switch — no channels, no scheduler
@@ -107,7 +111,9 @@ func (e *PanicError) Error() string {
 // adds no theoretical power over an oblivious adversary — the adversary
 // could precompute the run — but it makes worst-case adversaries far
 // easier to express (e.g. "always isolate the holders of the
-// highest-priority message").
+// highest-priority message"). An adaptive adversary is asked for every
+// round's graph, settled relay rounds included, since it must see every
+// round's messages.
 type AdaptiveSchedule interface {
 	// N returns the number of processes.
 	N() int
@@ -136,15 +142,20 @@ type Config struct {
 	// means no deadline.
 	Deadline time.Duration
 	// SizeOf measures a message in bits for congestion accounting. If nil,
-	// sizes are not tracked and BitLimit is ignored. It is never invoked
-	// concurrently.
+	// sizes are not tracked and BitLimit is ignored. It must depend on the
+	// message alone: the engine measures a submitted or published message
+	// once and bills the same size every round it is sent. It is never
+	// invoked concurrently.
 	SizeOf func(Message) int
 	// Higher is the priority order of Transport.Relay: it reports whether
-	// a strictly outranks b. It must be a strict order (irreflexive and
-	// transitive); messages that compare equal may still differ, and the
-	// fold then keeps the one that came first, exactly as a per-round loop
-	// over the inbox would. Runs whose processes never call Relay leave it
-	// nil. It is never invoked concurrently.
+	// a strictly outranks b. It must be a strict weak order: irreflexive,
+	// transitive, and with "neither outranks the other" transitive too, so
+	// that messages fall into ranks. Messages of one rank may still differ,
+	// and the fold then keeps the one that came first, exactly as a
+	// per-round loop over the inbox would. Settled rounds rely on the
+	// ranks: a process holding the top rank can adopt nothing. Runs whose
+	// processes never call Relay leave it nil. It is never invoked
+	// concurrently.
 	Higher func(a, b Message) bool
 	// BitLimit, when positive and SizeOf is set, aborts the run with a
 	// *BitLimitError as soon as any message exceeds it.
@@ -294,10 +305,13 @@ func (t *Transport) SendAndReceive(msg Message) ([]Message, error) {
 // the phase's end, or ErrStopped when the run was cancelled meanwhile.
 // blocks < 1 returns msg at once without communicating.
 //
-// The process stays parked for the whole phase: the router accounts, routes
-// and traces each round exactly as if the process called SendAndReceive
-// every round, but folds its deliveries directly and resumes it only when
-// the phase ends. stop runs on the runner's goroutine while the process is
+// The process stays parked for the whole phase: the router accounts and
+// traces each round exactly as if the process called SendAndReceive every
+// round, but folds its deliveries directly and resumes it only when the
+// phase ends. A round in which every sender relays and no published
+// message outranks any held one is settled: nothing can change, so on a
+// pure schedule (dynnet.PureSchedule) the router asks for no graph and
+// folds nothing. stop runs on the runner's goroutine while the process is
 // parked, so it must be a pure function of its argument.
 func (t *Transport) Relay(msg Message, blocks, block int, stop func(Message) bool) (Message, error) {
 	return t.run.relay(t, msg, blocks, block, stop)

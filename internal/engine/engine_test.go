@@ -330,12 +330,17 @@ func quietProc(rounds int) Coroutine {
 	})
 }
 
+// impureSchedule hides its schedule's purity, so every round asks it for
+// a graph.
+type impureSchedule struct{ dynnet.InPlaceSchedule }
+
 // TestSchedulerSteadyStateAllocs gates per-round allocations: once the
 // router's double-buffered delivery backings have grown to the round's
-// working set, additional rounds must be allocation-free — both rounds of
-// SendAndReceive and rounds where every process is parked in one Relay.
-// The gate is the *difference* between a long and a short run, so per-run
-// setup (runner, coroutines) cancels out.
+// working set, additional rounds must be allocation-free — rounds of
+// SendAndReceive, rounds where every process is parked in one Relay and
+// folds a graph (an impure schedule, so no round is settled), and settled
+// relay rounds on a pure one. The gate is the *difference* between a long
+// and a short run, so per-run setup (runner, coroutines) cancels out.
 func TestSchedulerSteadyStateAllocs(t *testing.T) {
 	const extra = 100
 	relayProc := func(rounds int) Coroutine {
@@ -344,15 +349,18 @@ func TestSchedulerSteadyStateAllocs(t *testing.T) {
 			return nil, err
 		})
 	}
+	complete := dynnet.NewStatic(dynnet.Complete(8))
 	for _, c := range []struct {
 		name  string
 		proc  func(rounds int) Coroutine
+		sched dynnet.Schedule
 		bound float64
 	}{
-		{name: "send-and-receive", proc: quietProc, bound: 0.5},
+		{name: "send-and-receive", proc: quietProc, sched: complete, bound: 0.5},
 		// A relay round touches no per-process state the runner has to
 		// grow: exactly zero.
-		{name: "relay", proc: relayProc, bound: 0},
+		{name: "relay", proc: relayProc, sched: impureSchedule{complete}, bound: 0},
+		{name: "relay-settled", proc: relayProc, sched: complete, bound: 0},
 	} {
 		measure := func(rounds int) float64 {
 			return testing.AllocsPerRun(5, func() {
@@ -360,7 +368,7 @@ func TestSchedulerSteadyStateAllocs(t *testing.T) {
 				for pid := range procs {
 					procs[pid] = c.proc(rounds)
 				}
-				cfg := Config{Schedule: dynnet.NewStatic(dynnet.Complete(8)), MaxRounds: rounds + 1,
+				cfg := Config{Schedule: c.sched, MaxRounds: rounds + 1,
 					Higher: func(a, b Message) bool { return a.(int) > b.(int) }}
 				if _, err := Run(cfg, procs); err != nil {
 					t.Error(err)

@@ -10,7 +10,10 @@ import (
 // lookup, degree pre-sizing and the parity-double-buffered inbox carve-out
 // for processes in SendAndReceive, and the priority fold for processes in
 // Relay. A steady-state round performs at most one allocation (growing a
-// delivery backing array); an all-relay round performs none.
+// delivery backing array); an all-relay round performs none. A settled
+// round — every sender relaying, a pure schedule, and no published message
+// above any held one — is only accounted and traced: its graph and fold
+// could change nothing, so the router asks the schedule for no graph.
 //
 // The per-pid state slice uses the runner's convention: a process sends in
 // the round iff its state is stateWaiting or stateRelaying, and
@@ -44,6 +47,34 @@ type router struct {
 	// the call, so one buffer (no parity pair) suffices.
 	inPlace dynnet.InPlaceSchedule
 	gbuf    *dynnet.Multigraph
+
+	// bits caches SizeOf(pending[pid]), -1 when unknown. The runner resets
+	// an entry wherever pending[pid] changes (a submission, a relay start,
+	// the publication of a raised message), so a relayed message is
+	// measured once per publication rather than once per round. raised
+	// marks relaying processes whose held message rose since they last
+	// published it.
+	bits   []int
+	raised []bool
+
+	// The settled-round summary. pure: the schedule's graphs are a
+	// function of the round alone, so a graph left out changes no other
+	// round (never true for an adaptive adversary, which must see every
+	// round's messages). top is the highest held message among relaying
+	// processes, low marks those holding one under it and below counts
+	// them. A relaying process publishes a message it held, and what it
+	// holds only rises, so no published message outranks top: a process
+	// off low can adopt nothing, and a round with below == 0 is settled.
+	// In a round without SendAndReceive senders the fold raises held
+	// messages only to published ones, so top stays put and the fold just
+	// takes the processes reaching its rank off low. Anything else that
+	// changes the senders happens in a resume, and a resume marks the
+	// summary stale until the next all-relay round rebuilds it.
+	pure  bool
+	stale bool
+	top   Message
+	low   []bool
+	below int
 }
 
 // newRouter returns a router for n processes. The Config must outlive it.
@@ -56,12 +87,20 @@ func newRouter(cfg *Config, n int) *router {
 		pos:       make([]int, n),
 		sent:      make([]Message, 0, n),
 		sentByPID: make([]Message, n),
+		bits:      make([]int, n),
+		raised:    make([]bool, n),
+		low:       make([]bool, n),
+		stale:     true,
 	}
 	if cfg.Adaptive == nil {
 		if ips, ok := cfg.Schedule.(dynnet.InPlaceSchedule); ok {
 			rt.inPlace = ips
 			rt.gbuf = dynnet.NewMultigraph(n)
 		}
+		rt.pure = cfg.Higher != nil && dynnet.Pure(cfg.Schedule)
+	}
+	for pid := range rt.bits {
+		rt.bits[pid] = -1
 	}
 	return rt
 }
@@ -72,6 +111,7 @@ func newRouter(cfg *Config, n int) *router {
 // stateWaiting processes are carved out of the round-parity backing array
 // and stay valid until the same parity's next route call; stateRelaying
 // processes get no inbox, their deliveries are folded into held instead.
+// A settled round skips the graph and the fold (see router).
 func (rt *router) route(state []procState, pending, held []Message, res *Result) ([][]Message, error) {
 	rt.round++
 
@@ -102,7 +142,11 @@ func (rt *router) route(state []procState, pending, held []Message, res *Result)
 		}
 		res.TotalMessages++
 		if rt.cfg.SizeOf != nil {
-			bits := rt.cfg.SizeOf(msg)
+			bits := rt.bits[pid]
+			if bits < 0 {
+				bits = rt.cfg.SizeOf(msg)
+				rt.bits[pid] = bits
+			}
 			res.TotalBits += int64(bits)
 			if bits > res.MaxMessageBits {
 				res.MaxMessageBits = bits
@@ -110,6 +154,22 @@ func (rt *router) route(state []procState, pending, held []Message, res *Result)
 			if rt.cfg.BitLimit > 0 && bits > rt.cfg.BitLimit {
 				return nil, &BitLimitError{Round: rt.round, Process: pid, Bits: bits, Limit: rt.cfg.BitLimit}
 			}
+		}
+	}
+
+	// Only an all-relay round of a pure schedule keeps the summary: a
+	// waiting process's message may outrank top, and it is resumed (and so
+	// marks the summary stale) right after the round.
+	track := waiting == 0 && rt.pure
+	if track {
+		if rt.stale {
+			rt.summarize(state, held)
+		}
+		if rt.below == 0 {
+			if rt.cfg.Trace != nil {
+				rt.cfg.Trace(rt.round, sent)
+			}
+			return nil, nil
 		}
 	}
 
@@ -134,7 +194,7 @@ func (rt *router) route(state []procState, pending, held []Message, res *Result)
 		out = rt.carve(links, state, pending)
 	}
 	if relaying > 0 {
-		rt.fold(links, state, pending, held)
+		rt.fold(links, state, pending, held, track)
 	}
 
 	if rt.cfg.Trace != nil {
@@ -222,6 +282,29 @@ func (rt *router) carve(links []dynnet.Link, state []procState, pending []Messag
 	return out
 }
 
+// summarize recomputes top, low and below from the relaying processes'
+// held messages.
+func (rt *router) summarize(state []procState, held []Message) {
+	higher := rt.cfg.Higher
+	rt.top, rt.below = nil, 0
+	first := true
+	for pid, s := range state {
+		if s != stateRelaying {
+			continue
+		}
+		if first || higher(held[pid], rt.top) {
+			rt.top, first = held[pid], false
+		}
+	}
+	for pid, s := range state {
+		rt.low[pid] = s == stateRelaying && higher(rt.top, held[pid])
+		if rt.low[pid] {
+			rt.below++
+		}
+	}
+	rt.stale = false
+}
+
 // fold delivers the round to the stateRelaying processes: one sweep over
 // the links in canonical order replaces held[pid] with each delivery that
 // strictly outranks it. A process sees its deliveries in the same order as
@@ -229,8 +312,32 @@ func (rt *router) carve(links []dynnet.Link, state []procState, pending []Messag
 // result is the per-round loop's "keep the highest of what I hold and what
 // I received" — multiplicities and all. Every process reads its
 // neighbours' pending (published) messages, which no fold writes.
-func (rt *router) fold(links []dynnet.Link, state []procState, pending, held []Message) {
+//
+// With track set, only processes on low can adopt, so the sweep asks
+// Higher for no other, and an adoption that reaches top's rank takes its
+// process off low. A process adopts only while it holds less than the
+// delivery, and no delivery outranks top, so each process leaves low at
+// most once; once below is zero, the rest of the sweep can adopt nothing
+// and is skipped.
+func (rt *router) fold(links []dynnet.Link, state []procState, pending, held []Message, track bool) {
 	higher := rt.cfg.Higher
+	// Untracked, low stays nil: every relaying process may adopt.
+	var low []bool
+	if track {
+		low = rt.low
+	}
+	// adopt raises pid's held message to m and reports whether every
+	// relaying process now holds top's rank.
+	adopt := func(pid int, m Message) bool {
+		held[pid] = m
+		rt.raised[pid] = true
+		if low != nil && !higher(rt.top, m) {
+			low[pid] = false
+			rt.below--
+			return rt.below == 0
+		}
+		return false
+	}
 	for _, l := range links {
 		u, v := l.U, l.V
 		su, sv := state[u], state[v]
@@ -240,11 +347,11 @@ func (rt *router) fold(links []dynnet.Link, state []procState, pending, held []M
 		if u == v || !su.sends() || !sv.sends() {
 			continue
 		}
-		if su == stateRelaying && higher(pending[v], held[u]) {
-			held[u] = pending[v]
+		if su == stateRelaying && (low == nil || low[u]) && higher(pending[v], held[u]) && adopt(u, pending[v]) {
+			return
 		}
-		if sv == stateRelaying && higher(pending[u], held[v]) {
-			held[v] = pending[u]
+		if sv == stateRelaying && (low == nil || low[v]) && higher(pending[u], held[v]) && adopt(v, pending[u]) {
+			return
 		}
 	}
 }

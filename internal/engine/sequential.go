@@ -98,6 +98,7 @@ func (s *seqRunner) sendAndReceive(t *Transport, msg Message) ([]Message, error)
 	}
 	s.state[t.pid] = stateWaiting
 	s.pending[t.pid] = msg
+	s.rt.bits[t.pid] = -1
 	if !s.yield[t.pid](struct{}{}) {
 		// The runner called stop: unwind.
 		return nil, ErrStopped
@@ -122,6 +123,8 @@ func (s *seqRunner) relay(t *Transport, msg Message, blocks, block int, stop fun
 	s.relays[t.pid] = relayState{left: blocks, block: block, stop: stop}
 	s.held[t.pid] = msg
 	s.pending[t.pid] = msg
+	s.rt.bits[t.pid] = -1
+	s.rt.raised[t.pid] = false
 	s.state[t.pid] = stateRelaying
 	start := s.rt.round
 	if !s.yield[t.pid](struct{}{}) {
@@ -135,7 +138,8 @@ func (s *seqRunner) relay(t *Transport, msg Message, blocks, block int, stop fun
 
 // endRelayRound advances a relaying process past one routed round: at a
 // block end it publishes the held message and reports whether the phase is
-// over (blocks exhausted or stop fired).
+// over (blocks exhausted or stop fired). A held message that did not rise
+// since the last publication is the published one already.
 func (s *seqRunner) endRelayRound(pid int) bool {
 	r := &s.relays[pid]
 	if r.pos++; r.pos < r.block {
@@ -143,7 +147,11 @@ func (s *seqRunner) endRelayRound(pid int) bool {
 	}
 	r.pos = 0
 	r.left--
-	s.pending[pid] = s.held[pid]
+	if s.rt.raised[pid] {
+		s.pending[pid] = s.held[pid]
+		s.rt.bits[pid] = -1
+		s.rt.raised[pid] = false
+	}
 	return r.left == 0 || (r.stop != nil && r.stop(s.held[pid]))
 }
 
@@ -171,6 +179,9 @@ func (s *seqRunner) startProc(pid int, proc Coroutine) {
 // return, updates counters and outputs for completions, and classifies what
 // happened.
 func (s *seqRunner) resume(pid int, res *Result) stepResult {
+	// Whatever the process does next — submit, start a relay, return —
+	// changes the senders the router summarized.
+	s.rt.stale = true
 	if _, ok := s.next[pid](); ok {
 		return stepParked
 	}

@@ -70,6 +70,7 @@ func RunSteppersContext(ctx context.Context, cfg Config, steppers []Stepper) (*R
 			if state[pid] != stateDone {
 				state[pid] = stateWaiting
 				pending[pid] = st.Compose()
+				rt.bits[pid] = -1
 			}
 		}
 		out, err := rt.route(state, pending, nil, res)

@@ -202,7 +202,7 @@ type Schedule struct {
 	plan  *Plan
 }
 
-var _ dynnet.Schedule = (*Schedule)(nil)
+var _ dynnet.PureSchedule = (*Schedule)(nil)
 
 // Wrap lays the plan over an oblivious schedule.
 func (p *Plan) Wrap(inner dynnet.Schedule) *Schedule {
@@ -217,6 +217,10 @@ func (s *Schedule) Graph(t int) *dynnet.Multigraph {
 	return s.plan.graphAt(len(s.plan.Faults), t, s.inner.Graph)
 }
 
+// PureInT implements dynnet.PureSchedule by forwarding the inner
+// schedule's answer: the plan itself is a pure function of the round.
+func (s *Schedule) PureInT() bool { return dynnet.Pure(s.inner) }
+
 // Plan returns the wrapped plan.
 func (s *Schedule) Plan() *Plan { return s.plan }
 
@@ -225,7 +229,9 @@ func (s *Schedule) Plan() *Plan { return s.plan }
 // DisconnectBurst (and BudgetT > 1), the adversary's raw graph is frozen
 // at each aligned block's first round and reused for the whole block —
 // the burst needs the block rounds to slice a common union, and a
-// reactive adversary cannot be replayed for future rounds.
+// reactive adversary cannot be replayed for future rounds. Like every
+// adaptive adversary it is never pure: it must see every round's sent
+// messages, so the engine asks it for every round.
 type AdaptiveSchedule struct {
 	inner engine.AdaptiveSchedule
 	plan  *Plan

@@ -329,3 +329,18 @@ func (a scheduleAdapter) N() int { return a.s.N() }
 func (a scheduleAdapter) Graph(round int, _ []engine.Message) *dynnet.Multigraph {
 	return a.s.Graph(round)
 }
+
+// TestScheduleForwardsPurity checks that a fault plan keeps its inner
+// schedule's purity promise: the plan itself is a function of the round.
+func TestScheduleForwardsPurity(t *testing.T) {
+	p, err := Parse("spike:4:20,drop:30:0:0.3", 1, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !dynnet.Pure(p.Wrap(dynnet.NewStatic(dynnet.Path(4)))) {
+		t.Error("plan over a static schedule is not pure")
+	}
+	if dynnet.Pure(p.Wrap(dynnet.NewFunc(4, func(int) *dynnet.Multigraph { return dynnet.Path(4) }))) {
+		t.Error("plan over a FuncSchedule is pure")
+	}
+}
